@@ -27,7 +27,14 @@ from .coloring import Coloring, EdgeSet, hom_signature, hom_sets
 from .critical import find_critical_cycles, find_critical_pairs, witness_json
 from .errors import HomrecError
 from .fixtures import fixture_names, parse_fixture
-from .reconstruct import SearchMode, in_R, r_value
+from .reconstruct import (
+    EXHAUSTIVE_MAX_N,
+    RMembership,
+    SearchMode,
+    Verdict,
+    in_R,
+    r_value,
+)
 from .structure import to_dot
 from .suites import SUITES, run_suite
 
@@ -71,16 +78,21 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _analysis(phi: Coloring, mode: str, budget: int | None, max_n: int) -> dict:
-    allow_n8 = max_n >= 8
-    exhaustive_feasible = phi.n <= 7 or (phi.n == 8 and allow_n8)
+def _analysis(phi: Coloring, mode: str, budget: int | None) -> dict:
     if mode == "auto":
-        mode = "exhaustive" if exhaustive_feasible else "structural"
+        mode = "exhaustive" if phi.n <= EXHAUSTIVE_MAX_N else "structural"
     search = SearchMode.EXHAUSTIVE if mode == "exhaustive" else SearchMode.STRUCTURAL_ONLY
 
     sig = hom_signature(phi)
-    membership = in_R(phi, budget=budget, allow_n8=allow_n8)
-    report = r_value(phi, search, allow_n8=allow_n8)
+    membership = in_R(phi, budget=budget)
+    report = r_value(phi, search)
+    if membership.verdict is Verdict.UNKNOWN and report.complete:
+        # only the budget left membership open; the complete r search decides it
+        membership = (
+            RMembership(Verdict.IN_R, None)
+            if report.r is None
+            else RMembership(Verdict.NOT_IN_R, report.witnesses[0])
+        )
     return {
         "schema_version": SCHEMA_VERSION,
         "n": phi.n,
@@ -145,7 +157,7 @@ def _r_text(rrep: dict) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     phi = _load_coloring(args.path, args.member)
-    report = _analysis(phi, args.mode, args.budget, args.max_n)
+    report = _analysis(phi, args.mode, args.budget)
     if args.json:
         _write(_dump(report), args.out)
     else:
@@ -153,33 +165,36 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Per suite: suite keyword -> (command-line flag, allowed (lo, hi) or None).
+# The exhaustive --n crosses every coloring with every flip set, 2^(2P)
+# pairs, so it stops at 6 vertices; the other ceilings keep a run in minutes.
+_N = ("n", (3, 6))
+_SAMPLES = ("samples", (0, 100_000))
+_SEED = ("seed", None)
 _SUITE_FLAGS = {
-    "oracle": ("n_exhaustive", "samples", "seed"),
-    "claws": ("n",),
-    "parity": ("n", "max_m"),
-    "partition-theorem": (),
-    "r-sweep": ("n_exhaustive", "samples", "seed"),
-    "connectivity": ("n_exhaustive", "samples", "seed"),
-    "alpha": ("nmax",),
-    "theorem63": ("samples", "seed"),
+    "oracle": {"n_exhaustive": _N, "samples": _SAMPLES, "seed": _SEED},
+    "claws": {"n": ("n", (4, 6))},
+    "parity": {"n": _N, "max_m": ("max_m", (6, 40))},
+    "partition-theorem": {},
+    "r-sweep": {"n_exhaustive": _N, "samples": _SAMPLES, "seed": _SEED},
+    "connectivity": {"n_exhaustive": _N, "samples": _SAMPLES, "seed": _SEED},
+    "alpha": {"nmax": ("nmax", (8, 40))},
+    "theorem63": {"samples": ("samples", (0, 1_000)), "seed": _SEED},
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     kwargs = {}
-    wanted = _SUITE_FLAGS[args.suite]
-    if "n" in wanted and args.n is not None:
-        kwargs["n"] = args.n
-    if "n_exhaustive" in wanted and args.n is not None:
-        kwargs["n_exhaustive"] = args.n
-    if "samples" in wanted and args.samples is not None:
-        kwargs["samples"] = args.samples
-    if "seed" in wanted and args.seed is not None:
-        kwargs["seed"] = args.seed
-    if "nmax" in wanted and args.nmax is not None:
-        kwargs["nmax"] = args.nmax
-    if "max_m" in wanted and args.max_m is not None:
-        kwargs["max_m"] = args.max_m
+    for key, (flag, bounds) in _SUITE_FLAGS[args.suite].items():
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if bounds is not None and not bounds[0] <= value <= bounds[1]:
+            option = "--" + flag.replace("_", "-")
+            raise HomrecError(
+                f"{args.suite}: {option} must be in {bounds[0]}..{bounds[1]}, got {value}"
+            )
+        kwargs[key] = value
     result = run_suite(args.suite, **kwargs)
     if args.json:
         payload = {"schema_version": SCHEMA_VERSION, **result.to_json()}
@@ -230,14 +245,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("auto", "exhaustive", "structural"),
         default="auto",
-        help="r-value search mode (auto: exhaustive when feasible)",
+        help=f"r-value search mode (auto: exhaustive through n={EXHAUSTIVE_MAX_N}, "
+        "structural above)",
     )
-    ana.add_argument("--budget", type=int, default=None, help="candidate cap for membership")
     ana.add_argument(
-        "--max-n",
+        "--budget",
         type=int,
-        default=7,
-        help="exhaustive-search ceiling; 8 enables the 2^28 sweep",
+        default=None,
+        help="membership covers only the first BUDGET flip sets in size-then-colex "
+        "order (default: all); a complete exhaustive r search still decides it",
     )
     ana.add_argument("--member", default="phi", help="member of a pair file (phi/psi/sum)")
     ana.add_argument("--out", default=None)

@@ -123,7 +123,7 @@ class Coloring:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise TooSmallError(f"coloring needs n >= 2, got {self.n}")
-        if not 0 <= self.bits < 1 << pair_count(self.n):
+        if self.bits < 0 or self.bits.bit_length() > pair_count(self.n):
             raise ValueError(
                 f"bits out of range for n={self.n} ({pair_count(self.n)} pairs)"
             )
@@ -181,7 +181,9 @@ class Coloring:
     def from_json(cls, obj: dict) -> "Coloring":
         if not isinstance(obj, dict) or "n" not in obj:
             raise ValueError("coloring JSON must be an object with an 'n' field")
-        n = int(obj["n"])
+        n = obj["n"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"coloring 'n' must be a JSON integer, got {n!r}")
         if "bits_hex" in obj:
             bits = int.from_bytes(bytes.fromhex(obj["bits_hex"]), "little")
             return cls(n, bits)
@@ -242,7 +244,7 @@ class EdgeSet:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise TooSmallError(f"edge set needs n >= 2, got {self.n}")
-        if not 0 <= self.mask < 1 << pair_count(self.n):
+        if self.mask < 0 or self.mask.bit_length() > pair_count(self.n):
             raise ValueError(f"mask out of range for n={self.n}")
 
     @classmethod

@@ -33,6 +33,10 @@ class PreconditionError(HomrecError):
     """A documented precondition does not hold for the given inputs."""
 
 
+class ConsistencyError(HomrecError):
+    """An internal consistency check failed: a bug, not bad input."""
+
+
 class BudgetError(HomrecError):
     """The request exceeds the exhaustive-search feasibility ceiling."""
 

@@ -13,21 +13,29 @@ That criterion must agree with directly comparing homogeneous-triple
 signatures; the test suite enforces the agreement exhaustively.
 
 r(phi) is the least size of a non-empty, non-full valid difference; it
-exists iff phi has a non-trivial reconstruction.  Exhaustive searches are
-feasible through n = 7 by default (2^21 candidates) and n = 8 behind a
-flag.
+exists iff phi has a non-trivial reconstruction.
+
+Every exhaustive question runs through one search.  A triple homogeneous
+for phi must meet a valid difference in zero or three pairs, so merging
+the pairs of each homogeneous triple (union-find) splits the pairs into
+classes and every valid difference is a union of classes.  The search
+expands each union of classes into a pair mask, tests the masks with the
+local criterion (``kernels.valid_for_phi``) and orders the valid ones by
+size, then colex.  It runs through n = 8 (28 pairs, so masks fit in
+uint64); above that only the structural scans apply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 from typing import Iterator, Optional
 
 import numpy as np
 
 from . import kernels
-from .coloring import Coloring, EdgeSet, iter_subsets_colex, pair_count
+from .coloring import Coloring, EdgeSet, pair_count, pair_index, triples
 from .critical import find_critical_cycles, find_critical_pairs
 from .errors import (
     BudgetError,
@@ -53,10 +61,10 @@ __all__ = [
     "r_value",
 ]
 
-# 2^21 masks: the default exhaustive ceiling (n = 7); n = 8 is 2^28 and
-# only allowed explicitly.
-EXHAUSTIVE_MAX_PAIRS = 21
-_CHUNK = 1 << 18
+# The exhaustive ceiling: 28 pairs, so every flip set fits in a uint64 mask.
+EXHAUSTIVE_MAX_N = 8
+# Classes expanded per kernel call: at most 2^18 masks at a time.
+_BLOCK_CLASSES = 18
 
 
 class Verdict(Enum):
@@ -161,13 +169,57 @@ def is_valid_difference(phi: Coloring, diff: EdgeSet) -> bool:
     return True
 
 
-def _valid_masks_sorted(phi: Coloring) -> np.ndarray:
-    """All valid difference masks, ordered by size then colex (numeric)."""
-    masks = kernels.all_masks(phi.n)
-    ok = kernels.valid_for_phi(phi.n, phi.bits, masks)
-    valid = masks[ok]
-    order = np.lexsort((valid, kernels.popcounts(valid)))
-    return valid[order]
+def _pair_classes(phi: Coloring) -> list[int]:
+    """Pair masks of the classes that phi's homogeneous triples merge,
+    ordered by their lowest pair."""
+    parent = list(range(pair_count(phi.n)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for x, y, z in triples(phi.n):
+        if phi.get(x, y) == phi.get(x, z) == phi.get(y, z):
+            a = find(pair_index(x, y))
+            parent[find(pair_index(x, z))] = a
+            parent[find(pair_index(y, z))] = a
+    classes: dict[int, int] = {}
+    for i in range(len(parent)):
+        root = find(i)
+        classes[root] = classes.get(root, 0) | 1 << i
+    return list(classes.values())
+
+
+def _reconstruction_masks(phi: Coloring) -> list[int]:
+    """Every non-trivial valid difference of phi as a mask, in
+    size-then-colex order (colex is numeric order within one size)."""
+    if phi.n > EXHAUSTIVE_MAX_N:
+        raise BudgetError(
+            f"exhaustive search infeasible for n={phi.n} (ceiling n={EXHAUSTIVE_MAX_N})"
+        )
+    classes = _pair_classes(phi)
+    block = np.zeros(1, dtype=np.uint64)
+    for c in classes[:_BLOCK_CLASSES]:
+        block = np.concatenate((block, block | np.uint64(c)))
+    high = classes[_BLOCK_CLASSES:]
+    full = (1 << pair_count(phi.n)) - 1
+    found = []
+    for k in range(1 << len(high)):
+        offset = sum(c for i, c in enumerate(high) if k >> i & 1)
+        masks = block | np.uint64(offset)
+        ok = kernels.valid_for_phi(phi.n, phi.bits, masks)
+        found.extend(m for m in masks[ok].tolist() if m not in (0, full))
+    return sorted(found, key=lambda m: (m.bit_count(), m))
+
+
+def _size_colex_rank(mask: int, p: int) -> int:
+    """Position of ``mask`` among all p-bit masks in size-then-colex order,
+    by the combinatorial number system."""
+    members = [i for i in range(p) if mask >> i & 1]
+    smaller = sum(comb(p, k) for k in range(len(members)))
+    return smaller + sum(comb(c, k) for k, c in enumerate(members, 1))
 
 
 def enumerate_reconstructions(
@@ -176,23 +228,10 @@ def enumerate_reconstructions(
     """Yield every non-trivial valid difference in size-then-colex order."""
     if phi.n < 3:
         raise TooSmallError(f"enumeration needs n >= 3, got {phi.n}")
-    p = pair_count(phi.n)
-    full = (1 << p) - 1
-    if p <= EXHAUSTIVE_MAX_PAIRS:
-        for mask in _valid_masks_sorted(phi).tolist():
-            if mask in (0, full):
-                continue
-            if max_size is not None and mask.bit_count() > max_size:
-                break  # sorted by size: nothing smaller follows
-            yield make_witness(phi, EdgeSet(phi.n, mask))
-        return
-    # large n: lazy scalar walk, practical only with a small max_size
-    top = p - 1 if max_size is None else min(max_size, p - 1)
-    for k in range(1, top + 1):
-        for mask in iter_subsets_colex(p, k):
-            diff = EdgeSet(phi.n, mask)
-            if is_valid_difference(phi, diff):
-                yield make_witness(phi, diff)
+    for mask in _reconstruction_masks(phi):
+        if max_size is not None and mask.bit_count() > max_size:
+            break  # sorted by size: nothing smaller follows
+        yield make_witness(phi, EdgeSet(phi.n, mask))
 
 
 def _structural_witness(phi: Coloring) -> Optional[EdgeSet]:
@@ -206,73 +245,43 @@ def _structural_witness(phi: Coloring) -> Optional[EdgeSet]:
     return None
 
 
-def in_R(
-    phi: Coloring, budget: int | None = None, allow_n8: bool = False
-) -> RMembership:
+def in_R(phi: Coloring, budget: int | None = None) -> RMembership:
     """Decide whether the only reconstructions of phi are the trivial ones.
 
     Critical pairs and cycles are scanned first (sound shortcuts to
-    NOT_IN_R); otherwise the difference space is exhausted when feasible
-    (n <= 7, or n = 8 with ``allow_n8``).  ``budget`` caps the number of
-    exhaustively examined candidates; hitting it yields UNKNOWN.
+    NOT_IN_R); otherwise the difference space is searched exhaustively
+    through n = 8, and the verdict is UNKNOWN above that.  ``budget``
+    covers only the first ``budget`` flip sets of the whole space in
+    size-then-colex order: a first non-trivial valid one past them, or
+    none in a space larger than the budget, yields UNKNOWN.
     """
     if phi.n < 3:
         raise TooSmallError(f"membership needs n >= 3, got {phi.n}")
+    if budget is not None and budget < 0:
+        raise PreconditionError(f"budget must be >= 0, got {budget}")
     shortcut = _structural_witness(phi)
     if shortcut is not None:
         return RMembership(Verdict.NOT_IN_R, make_witness(phi, shortcut))
+    if phi.n > EXHAUSTIVE_MAX_N:
+        return RMembership(Verdict.UNKNOWN, None)
     p = pair_count(phi.n)
-    full = (1 << p) - 1
-    if p <= EXHAUSTIVE_MAX_PAIRS:
-        masks = kernels.all_masks(phi.n)
-        order = np.lexsort((masks, kernels.popcounts(masks)))
-        take = len(order) if budget is None else min(budget, len(order))
-        candidates = masks[order[:take]]
-        ok = kernels.valid_for_phi(phi.n, phi.bits, candidates)
-        ok &= (candidates != 0) & (candidates != np.uint64(full))
-        hits = candidates[ok]
-        if hits.size:
-            return RMembership(
-                Verdict.NOT_IN_R, make_witness(phi, EdgeSet(phi.n, int(hits[0])))
-            )
-        if take < len(order):
-            return RMembership(Verdict.UNKNOWN, None)
-        return RMembership(Verdict.IN_R, None)
-    if phi.n == 8 and allow_n8:
-        examined = 0
-        start = 0
-        while start < 1 << p:
-            if budget is not None and examined >= budget:
-                return RMembership(Verdict.UNKNOWN, None)
-            stop = min(start + _CHUNK, 1 << p)
-            if budget is not None:
-                stop = min(stop, start + budget - examined)
-            masks = np.arange(start, stop, dtype=np.uint64)
-            ok = kernels.valid_for_phi(phi.n, phi.bits, masks)
-            ok &= (masks != 0) & (masks != np.uint64(full))
-            examined += stop - start
-            hits = masks[ok]
-            if hits.size:
-                return RMembership(
-                    Verdict.NOT_IN_R, make_witness(phi, EdgeSet(phi.n, int(hits[0])))
-                )
-            start = stop
-        return RMembership(Verdict.IN_R, None)
-    return RMembership(Verdict.UNKNOWN, None)
+    covered = 1 << p if budget is None else budget
+    found = _reconstruction_masks(phi)
+    if found and _size_colex_rank(found[0], p) < covered:
+        return RMembership(Verdict.NOT_IN_R, make_witness(phi, EdgeSet(phi.n, found[0])))
+    if found or covered < 1 << p:
+        return RMembership(Verdict.UNKNOWN, None)
+    return RMembership(Verdict.IN_R, None)
 
 
-def r_value(
-    phi: Coloring,
-    mode: SearchMode = SearchMode.EXHAUSTIVE,
-    allow_n8: bool = False,
-) -> RValueReport:
+def r_value(phi: Coloring, mode: SearchMode = SearchMode.EXHAUSTIVE) -> RValueReport:
     """The minimal-reconstruction number and all its minimal witnesses.
 
-    Exhaustive mode covers the whole difference space and is complete.
-    Structural mode only scans critical pairs (r = 1, complete: the
-    size-1 space is covered) and critical cycles (r = 4 reported, not
-    complete below the regime where the dichotomy theorems apply); with
-    neither found it reports unknown.
+    Exhaustive mode covers the whole difference space, through n = 8, and
+    is complete.  Structural mode only scans critical pairs (r = 1,
+    complete: the size-1 space is covered) and critical cycles (r = 4
+    reported, not complete below the regime where the dichotomy theorems
+    apply); with neither found it reports unknown.
     """
     if phi.n < 3:
         raise TooSmallError(f"r-value needs n >= 3, got {phi.n}")
@@ -290,61 +299,19 @@ def r_value(
                 return RValueReport(4, witnesses, mode, complete=False)
         return RValueReport(None, (), mode, complete=False)
 
-    p = pair_count(phi.n)
-    full = (1 << p) - 1
-    if p <= EXHAUSTIVE_MAX_PAIRS:
-        ordered = _valid_masks_sorted(phi).tolist()
-        nontrivial = [m for m in ordered if m not in (0, full)]
-        if not nontrivial:
-            return RValueReport(None, (), mode, complete=True)
-        r = nontrivial[0].bit_count()
-        witnesses = tuple(
-            make_witness(phi, EdgeSet(phi.n, m))
-            for m in nontrivial
-            if m.bit_count() == r
-        )
-        return RValueReport(r, witnesses, mode, complete=True)
-    if phi.n == 8 and allow_n8:
-        best_r, best = _minimal_nontrivial_chunked(phi)
-        if best_r is None:
-            return RValueReport(None, (), mode, complete=True)
-        witnesses = tuple(make_witness(phi, EdgeSet(phi.n, m)) for m in best)
-        return RValueReport(best_r, witnesses, mode, complete=True)
-    raise BudgetError(
-        f"exhaustive search infeasible for n={phi.n} "
-        f"(ceiling n=7; n=8 requires allow_n8)"
+    found = _reconstruction_masks(phi)
+    if not found:
+        return RValueReport(None, (), mode, complete=True)
+    r = found[0].bit_count()
+    witnesses = tuple(
+        make_witness(phi, EdgeSet(phi.n, m)) for m in found if m.bit_count() == r
     )
+    return RValueReport(r, witnesses, mode, complete=True)
 
 
-def _minimal_nontrivial_chunked(phi: Coloring) -> tuple[Optional[int], list[int]]:
-    """One full pass over the difference space in fixed chunks, keeping the
-    smallest non-trivial valid masks.  Memory stays bounded for n = 8."""
-    p = pair_count(phi.n)
-    full = (1 << p) - 1
-    best: list[int] = []
-    best_r: Optional[int] = None
-    for start in range(0, 1 << p, _CHUNK):
-        masks = np.arange(start, min(start + _CHUNK, 1 << p), dtype=np.uint64)
-        ok = kernels.valid_for_phi(phi.n, phi.bits, masks)
-        ok &= (masks != 0) & (masks != np.uint64(full))
-        hits = masks[ok]
-        if not hits.size:
-            continue
-        sizes = kernels.popcounts(hits)
-        lo = int(sizes.min())
-        if best_r is None or lo < best_r:
-            best_r = lo
-            best = hits[sizes == lo].tolist()
-        elif lo == best_r:
-            best.extend(hits[sizes == best_r].tolist())
-    return best_r, sorted(int(m) for m in best)
-
-
-def minimal_reconstructions(
-    phi: Coloring, allow_n8: bool = False
-) -> list[ReconstructionWitness]:
+def minimal_reconstructions(phi: Coloring) -> list[ReconstructionWitness]:
     """All witnesses of size r(phi), exhaustively established."""
-    report = r_value(phi, SearchMode.EXHAUSTIVE, allow_n8=allow_n8)
+    report = r_value(phi, SearchMode.EXHAUSTIVE)
     if report.r is None:
         raise NotApplicableError("coloring has only trivial reconstructions")
     return list(report.witnesses)

@@ -34,6 +34,7 @@ from .coloring import Coloring, EdgeSet, hom_signature, pair_index, restrict
 from .critical import b_set, find_critical_cycles, is_critical_pair
 from .errors import (
     BudgetError,
+    ConsistencyError,
     DegenerateInputError,
     InvalidSubsetError,
     PreconditionError,
@@ -236,9 +237,10 @@ def alpha_coloring(n: int, seed: int = 0) -> Coloring:
     # overlap of the second and third rules on {k, k+1}, and of the first
     # and third on {1, 2}
     for k in range(2, n - 1):
-        assert phi.get(k, k + 1) == 1 - phi.get(0, k) == phi.get(0, k + 1)
-    if n >= 3:
-        assert phi.get(1, 2) == 1 - phi.get(0, 1)
+        if not phi.get(k, k + 1) == 1 - phi.get(0, k) == phi.get(0, k + 1):
+            raise ConsistencyError(f"alpha rules disagree on pair ({k}, {k + 1})")
+    if phi.get(1, 2) != 1 - phi.get(0, 1):
+        raise ConsistencyError("alpha rules disagree on pair (1, 2)")
     return phi
 
 

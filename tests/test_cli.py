@@ -123,6 +123,66 @@ def test_analyze_malformed_input_exits_2(tmp_path, capsys):
     assert run(capsys, "analyze", str(notcol))[0] == 2
 
 
+def test_analyze_rejects_non_integer_n(tmp_path, capsys):
+    for n in ("4.7", '"7"', "true"):
+        src = tmp_path / "bad_n.json"
+        src.write_text('{"n": %s, "ones": []}' % n)
+        code, stdout, err = run(capsys, "analyze", str(src))
+        assert code == 2 and stdout == "" and "integer" in err
+
+
+def test_analyze_rejects_negative_budget(tmp_path, capsys):
+    src = tmp_path / "p6.json"
+    run(capsys, "generate", "partition(6)", "--out", str(src))
+    code, stdout, err = run(capsys, "analyze", str(src), "--budget", "-5")
+    assert code == 2 and stdout == "" and "budget" in err
+
+
+@pytest.mark.parametrize(
+    "fixture, verdict",
+    [("random(7,0.5,1)", "in_R"), ("random(6,0.5,12)", "not_in_R")],
+)
+def test_analyze_budget_defers_to_complete_r_report(tmp_path, capsys, fixture, verdict):
+    # neither coloring has a critical pair or cycle, so a budget of 1000
+    # leaves in_R undecided; the complete exhaustive r search decides it
+    src = tmp_path / "phi.json"
+    run(capsys, "generate", fixture, "--out", str(src))
+    code, budgeted, _ = run(capsys, "analyze", str(src), "--json", "--budget", "1000")
+    assert code == 0
+    report = json.loads(budgeted)
+    assert report["r_report"]["complete"] is True
+    assert report["membership"]["verdict"] == verdict
+    if verdict == "not_in_R":
+        assert report["membership"]["witness"] == report["r_report"]["witnesses"][0]
+    assert budgeted == run(capsys, "analyze", str(src), "--json")[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "--n", "2"),
+        ("oracle", "--n", "7"),
+        ("claws", "--n", "2"),
+        ("claws", "--n", "3"),
+        ("parity", "--n", "2"),
+        ("r-sweep", "--n", "7"),
+        ("connectivity", "--n", "2"),
+        ("oracle", "--samples", "-5"),
+        ("r-sweep", "--samples", "-1"),
+        ("connectivity", "--samples", "100001"),
+        ("theorem63", "--samples", "-1"),
+        ("theorem63", "--samples", "1001"),
+        ("alpha", "--nmax", "41"),
+        ("parity", "--max-m", "5"),
+        ("parity", "--max-m", "41"),
+    ],
+)
+def test_verify_rejects_out_of_range_scale(capsys, argv):
+    code, stdout, err = run(capsys, "verify", *argv)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and argv[1] in err
+
+
 def test_verify_pass_and_json(capsys):
     code, stdout, _ = run(capsys, "verify", "alpha", "--nmax", "10")
     assert code == 0 and stdout.startswith("PASS alpha")

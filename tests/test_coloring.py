@@ -73,6 +73,12 @@ def test_coloring_validates_size():
         Coloring(1, 0)
     with pytest.raises(ValueError):
         Coloring(3, 1 << 3)
+    with pytest.raises(ValueError):
+        Coloring(3, -1)
+    with pytest.raises(ValueError):
+        EdgeSet(3, 1 << 3)
+    # the bound is checked on the bit length, never by building 2^pairs
+    assert Coloring(10**9, 1).n == EdgeSet(10**9, 1).n == 10**9
 
 
 def test_boolean_sum_self_is_zero():
@@ -280,6 +286,9 @@ def test_from_json_rejects_garbage():
         Coloring.from_json({"n": 4})
     with pytest.raises(ValueError):
         Coloring.from_json([1, 2])
+    for n in (4.7, "7", True, None):
+        with pytest.raises(ValueError):
+            Coloring.from_json({"n": n, "ones": []})
 
 
 def test_edge_set_members_round_trip():

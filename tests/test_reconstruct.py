@@ -1,10 +1,22 @@
 """Validity of flips, enumeration, membership, and the r function."""
 
+import random
+from functools import lru_cache
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homrec.coloring import Coloring, EdgeSet, difference, h_equivalent, pair_count
+from homrec import kernels
+from homrec.coloring import (
+    Coloring,
+    EdgeSet,
+    difference,
+    h_equivalent,
+    iter_subsets_colex,
+    pair_count,
+)
 from homrec.errors import (
     BudgetError,
     DimensionMismatchError,
@@ -15,6 +27,7 @@ from homrec.fixtures import fig_critical_cycle
 from homrec.reconstruct import (
     SearchMode,
     Verdict,
+    _structural_witness,
     component_restriction_valid,
     enumerate_reconstructions,
     in_R,
@@ -178,24 +191,17 @@ def test_r_exhaustive_refuses_large_n():
     with pytest.raises(BudgetError):
         r_value(Coloring.zero(9))
     with pytest.raises(BudgetError):
-        r_value(Coloring.zero(8))  # allowed only behind the flag
-
-
-def test_chunked_minimal_search_matches_fast_path(partition6, no_critical_pair6):
-    from homrec.reconstruct import _minimal_nontrivial_chunked
-
-    for phi in (partition6, no_critical_pair6):
-        best_r, best = _minimal_nontrivial_chunked(phi)
-        report = r_value(phi)
-        assert best_r == report.r
-        assert best == sorted(w.difference.mask for w in report.witnesses)
+        list(enumerate_reconstructions(Coloring.zero(9), max_size=1))
+    report = r_value(Coloring.zero(8))  # n = 8 is within the exhaustive ceiling
+    assert report.r is None and report.complete
 
 
 def test_in_R_n8_budget_unknown():
     # all-one on 8 vertices has no critical structure; a capped scan of
     # the 2^28 space must come back undecided
-    member = in_R(Coloring.all_one(8), budget=5000, allow_n8=True)
+    member = in_R(Coloring.all_one(8), budget=5000)
     assert member.verdict is Verdict.UNKNOWN
+    assert in_R(Coloring.all_one(8), budget=1 << 28).verdict is Verdict.IN_R
 
 
 def test_r_report_json(partition6):
@@ -253,3 +259,94 @@ def test_minimal_witnesses_are_connected(phi):
     if member.verdict is Verdict.NOT_IN_R:
         for w in minimal_reconstructions(phi):
             assert len(w.components) == 1
+
+
+# ---------------------------------------------------------------------------
+# the pair-class search against a full valid_for_phi sweep
+
+
+@lru_cache(maxsize=None)
+def _space(n: int):
+    """All masks in size-then-colex order, and each mask's position in it."""
+    masks = kernels.all_masks(n)
+    order = np.lexsort((masks, kernels.popcounts(masks)))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return masks[order], rank
+
+
+def _check_against_sweep(phi: Coloring, budgets=()) -> None:
+    ordered, rank = _space(phi.n)
+    full = (1 << pair_count(phi.n)) - 1
+    valid = ordered[kernels.valid_for_phi(phi.n, phi.bits, ordered)].tolist()
+    swept = [m for m in valid if m not in (0, full)]
+    r = swept[0].bit_count() if swept else None
+
+    report = r_value(phi)
+    assert report.r == r and report.complete
+    assert [w.difference.mask for w in report.witnesses] == [
+        m for m in swept if m.bit_count() == r
+    ]
+    assert [w.difference.mask for w in enumerate_reconstructions(phi)] == swept
+
+    shortcut = _structural_witness(phi)
+    if swept:  # the budget boundary around the first hit
+        budgets = (*budgets, int(rank[swept[0]]), int(rank[swept[0]]) + 1)
+    for budget in (None, *budgets):
+        covered = full + 1 if budget is None else budget
+        hits = [m for m in swept if rank[m] < covered]
+        if shortcut is not None:
+            expected = (Verdict.NOT_IN_R, shortcut.mask)
+        elif hits:
+            expected = (Verdict.NOT_IN_R, hits[0])
+        elif covered <= full:
+            expected = (Verdict.UNKNOWN, None)
+        else:
+            expected = (Verdict.IN_R, None)
+        member = in_R(phi, budget)
+        assert (member.verdict, member.witness and member.witness.difference.mask) == expected
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_search_matches_sweep_exhaustively(n):
+    space = 1 << pair_count(n)
+    for bits in range(space):
+        _check_against_sweep(Coloring(n, bits), budgets=(0, 1, 10, 100, space - 1, space))
+
+
+@pytest.mark.parametrize("n, samples", [(6, 200), (7, 25)])
+def test_search_matches_sweep_on_samples(n, samples):
+    rng = random.Random(n)
+    space = 1 << pair_count(n)
+    for _ in range(samples):
+        _check_against_sweep(Coloring(n, rng.getrandbits(pair_count(n))), budgets=(0, space))
+
+
+def _two_k4() -> Coloring:
+    blocks = ((0, 1, 2, 3), (4, 5, 6, 7))
+    return Coloring.from_ones(8, [(x, y) for b in blocks for x in b for y in b if x < y])
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [_two_k4(), *(Coloring(8, random.Random(s).getrandbits(28)) for s in range(4))],
+)
+def test_search_at_n8(phi):
+    report = r_value(phi)
+    member = in_R(phi)
+    assert report.complete
+    assert (member.verdict is Verdict.IN_R) == (report.r is None)
+    for w in report.witnesses:
+        assert w.size() == report.r and not w.trivial
+        assert is_valid_difference(phi, w.difference)
+        assert h_equivalent(phi, Coloring(8, phi.bits ^ w.difference.mask))
+    # brute force: nothing valid below r, exactly the witnesses at r (and
+    # nothing up to size 3 when r does not exist)
+    top = 3 if report.r is None else report.r
+    for size in range(1, top + 1):
+        masks = np.fromiter(iter_subsets_colex(28, size), dtype=np.uint64)
+        hits = masks[kernels.valid_for_phi(8, phi.bits, masks)].tolist()
+        if size < top or report.r is None:
+            assert hits == []
+        else:
+            assert hits == [w.difference.mask for w in report.witnesses]

@@ -1,7 +1,13 @@
 """The alpha coloring, the E_i property, finite SR, and the 4-set/7-set
 characterization of non-reconstructibility."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import homrec
 
 from homrec.coloring import Coloring, h_equivalent, restrict
 from homrec.errors import (
@@ -55,6 +61,34 @@ def test_alpha_validation():
         alpha_coloring(2)
     with pytest.raises(PreconditionError):
         alpha_coloring(6, seed=2)
+
+
+_CORRUPT_ALPHA = """
+import homrec.srcheck as s
+from homrec.coloring import Coloring, pair_index
+from homrec.errors import ConsistencyError
+
+assert False, "python -O strips this line"
+s.Coloring = lambda n, bits: Coloring(n, bits ^ 1 << pair_index(2, 3))
+try:
+    s.alpha_coloring(6)
+except ConsistencyError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_alpha_consistency_check_survives_optimize():
+    # pair {2, 3} is corrupted as alpha_coloring builds the coloring; its
+    # consistency check must still fire when python -O strips asserts
+    env = {"PYTHONPATH": str(Path(homrec.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _CORRUPT_ALPHA],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "raised: alpha rules disagree on pair (2, 3)\n"
 
 
 def test_verify_alpha_passes():

@@ -24,17 +24,10 @@ import sys
 from pathlib import Path
 
 from .coloring import Coloring, EdgeSet, hom_signature, hom_sets
-from .critical import find_critical_cycles, find_critical_pairs, witness_json
-from .errors import HomrecError
+from .critical import witness_json
+from .errors import BudgetError, HomrecError
 from .fixtures import fixture_names, parse_fixture
-from .reconstruct import (
-    EXHAUSTIVE_MAX_N,
-    RMembership,
-    SearchMode,
-    Verdict,
-    in_R,
-    r_value,
-)
+from .reconstruct import EXHAUSTIVE_MAX_N, STRUCTURAL_MAX_N, SearchMode, analyze
 from .structure import to_dot
 from .suites import SUITES, run_suite
 
@@ -78,21 +71,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _analysis(phi: Coloring, mode: str, budget: int | None) -> dict:
+def _analysis(phi: Coloring, mode: str) -> dict:
+    ceiling = EXHAUSTIVE_MAX_N if mode == "exhaustive" else STRUCTURAL_MAX_N
+    if phi.n > ceiling:
+        raise BudgetError(f"analyze --mode {mode} takes n <= {ceiling}, got n={phi.n}")
     if mode == "auto":
         mode = "exhaustive" if phi.n <= EXHAUSTIVE_MAX_N else "structural"
-    search = SearchMode.EXHAUSTIVE if mode == "exhaustive" else SearchMode.STRUCTURAL_ONLY
 
     sig = hom_signature(phi)
-    membership = in_R(phi, budget=budget)
-    report = r_value(phi, search)
-    if membership.verdict is Verdict.UNKNOWN and report.complete:
-        # only the budget left membership open; the complete r search decides it
-        membership = (
-            RMembership(Verdict.IN_R, None)
-            if report.r is None
-            else RMembership(Verdict.NOT_IN_R, report.witnesses[0])
-        )
+    facts, membership, report = analyze(phi, SearchMode(mode))
     return {
         "schema_version": SCHEMA_VERSION,
         "n": phi.n,
@@ -103,8 +90,8 @@ def _analysis(phi: Coloring, mode: str, budget: int | None) -> dict:
                 {"vertices": list(h.vertices), "color": h.color} for h in hom_sets(phi)
             ],
         },
-        "critical_pairs": [list(p) for p in find_critical_pairs(phi)],
-        "critical_cycles": [witness_json(w) for w in (find_critical_cycles(phi) if phi.n >= 5 else [])],
+        "critical_pairs": [list(p) for p in facts.pairs],
+        "critical_cycles": [witness_json(w) for w in facts.cycles],
         "membership": {
             "verdict": membership.verdict.value,
             "witness": (
@@ -157,7 +144,7 @@ def _r_text(rrep: dict) -> str:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     phi = _load_coloring(args.path, args.member)
-    report = _analysis(phi, args.mode, args.budget)
+    report = _analysis(phi, args.mode)
     if args.json:
         _write(_dump(report), args.out)
     else:
@@ -181,16 +168,21 @@ _SUITE_FLAGS = {
     "alpha": {"nmax": ("nmax", (8, 40))},
     "theorem63": {"samples": ("samples", (0, 1_000)), "seed": _SEED},
 }
+_SCALE_FLAGS = sorted({flag for flags in _SUITE_FLAGS.values() for flag, _ in flags.values()})
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    taken = {flag: (key, bounds) for key, (flag, bounds) in _SUITE_FLAGS[args.suite].items()}
     kwargs = {}
-    for key, (flag, bounds) in _SUITE_FLAGS[args.suite].items():
+    for flag in _SCALE_FLAGS:
         value = getattr(args, flag)
         if value is None:
             continue
+        option = "--" + flag.replace("_", "-")
+        if flag not in taken:
+            raise HomrecError(f"{args.suite} does not take {option}")
+        key, bounds = taken[flag]
         if bounds is not None and not bounds[0] <= value <= bounds[1]:
-            option = "--" + flag.replace("_", "-")
             raise HomrecError(
                 f"{args.suite}: {option} must be in {bounds[0]}..{bounds[1]}, got {value}"
             )
@@ -246,14 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("auto", "exhaustive", "structural"),
         default="auto",
         help=f"r-value search mode (auto: exhaustive through n={EXHAUSTIVE_MAX_N}, "
-        "structural above)",
-    )
-    ana.add_argument(
-        "--budget",
-        type=int,
-        default=None,
-        help="membership covers only the first BUDGET flip sets in size-then-colex "
-        "order (default: all); a complete exhaustive r search still decides it",
+        f"structural above); exhaustive takes n <= {EXHAUSTIVE_MAX_N}, auto and "
+        f"structural take n <= {STRUCTURAL_MAX_N}",
     )
     ana.add_argument("--member", default="phi", help="member of a pair file (phi/psi/sum)")
     ana.add_argument("--out", default=None)

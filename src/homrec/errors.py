@@ -38,7 +38,7 @@ class ConsistencyError(HomrecError):
 
 
 class BudgetError(HomrecError):
-    """The request exceeds the exhaustive-search feasibility ceiling."""
+    """The request exceeds the ceiling of the exhaustive search or the scans."""
 
 
 class NotApplicableError(HomrecError):

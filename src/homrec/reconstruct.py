@@ -23,20 +23,23 @@ expands each union of classes into a pair mask, tests the masks with the
 local criterion (``kernels.valid_for_phi``) and orders the valid ones by
 size, then colex.  It runs through n = 8 (28 pairs, so masks fit in
 uint64); above that only the structural scans apply.
+
+Membership takes the first witness among the critical pairs, the critical
+cycles and the search; r takes the search (exhaustive mode) or the scans
+(structural mode).  ``analyze`` computes each of these facts once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from . import kernels
 from .coloring import Coloring, EdgeSet, pair_count, pair_index, triples
-from .critical import find_critical_cycles, find_critical_pairs
+from .critical import CriticalCycleWitness, find_critical_cycles, find_critical_pairs
 from .errors import (
     BudgetError,
     DimensionMismatchError,
@@ -47,11 +50,13 @@ from .errors import (
 from .structure import Component, components
 
 __all__ = [
+    "Facts",
     "RMembership",
     "RValueReport",
     "ReconstructionWitness",
     "SearchMode",
     "Verdict",
+    "analyze",
     "component_restriction_valid",
     "enumerate_reconstructions",
     "in_R",
@@ -63,6 +68,8 @@ __all__ = [
 
 # The exhaustive ceiling: 28 pairs, so every flip set fits in a uint64 mask.
 EXHAUSTIVE_MAX_N = 8
+# The structural ceiling: one O(n^5) critical-cycle scan takes seconds at n = 60.
+STRUCTURAL_MAX_N = 64
 # Classes expanded per kernel call: at most 2^18 masks at a time.
 _BLOCK_CLASSES = 18
 
@@ -214,14 +221,6 @@ def _reconstruction_masks(phi: Coloring) -> list[int]:
     return sorted(found, key=lambda m: (m.bit_count(), m))
 
 
-def _size_colex_rank(mask: int, p: int) -> int:
-    """Position of ``mask`` among all p-bit masks in size-then-colex order,
-    by the combinatorial number system."""
-    members = [i for i in range(p) if mask >> i & 1]
-    smaller = sum(comb(p, k) for k in range(len(members)))
-    return smaller + sum(comb(c, k) for k, c in enumerate(members, 1))
-
-
 def enumerate_reconstructions(
     phi: Coloring, max_size: int | None = None
 ) -> Iterator[ReconstructionWitness]:
@@ -234,44 +233,68 @@ def enumerate_reconstructions(
         yield make_witness(phi, EdgeSet(phi.n, mask))
 
 
-def _structural_witness(phi: Coloring) -> Optional[EdgeSet]:
+class Facts(NamedTuple):
+    """What membership and r are read from, each computed at most once."""
+
+    pairs: list[tuple[int, int]]
+    cycles: list[CriticalCycleWitness]
+    masks: Optional[list[int]]  # None: the search did not run
+
+
+def _facts(phi: Coloring, mode: SearchMode, whole: bool) -> Facts:
+    """Critical pairs, critical cycles (n >= 5) and the search (n <= 8).
+    The cycle scan runs in full when ``whole`` (a report lists every
+    cycle), else only when no critical pair exists; the search runs
+    always in exhaustive mode, else only when neither scan found one."""
+    masks = _reconstruction_masks(phi) if mode is SearchMode.EXHAUSTIVE else None
     pairs = find_critical_pairs(phi)
-    if pairs:
-        return EdgeSet.from_pairs(phi.n, [pairs[0]])
-    if phi.n >= 5:
-        cycles = find_critical_cycles(phi)
-        if cycles:
-            return cycles[0].edges
-    return None
+    cycles = find_critical_cycles(phi) if phi.n >= 5 and (whole or not pairs) else []
+    if masks is None and not (pairs or cycles) and phi.n <= EXHAUSTIVE_MAX_N:
+        masks = _reconstruction_masks(phi)
+    return Facts(pairs, cycles, masks)
 
 
-def in_R(phi: Coloring, budget: int | None = None) -> RMembership:
+def _membership(phi: Coloring, facts: Facts) -> RMembership:
+    """The first witness among critical pairs, critical cycles and the
+    search; IN_R when the search found none, UNKNOWN when it did not run."""
+    if facts.pairs:
+        diff = EdgeSet.from_pairs(phi.n, facts.pairs[:1])
+    elif facts.cycles:
+        diff = facts.cycles[0].edges
+    elif facts.masks:
+        diff = EdgeSet(phi.n, facts.masks[0])
+    else:
+        return RMembership(Verdict.UNKNOWN if facts.masks is None else Verdict.IN_R, None)
+    return RMembership(Verdict.NOT_IN_R, make_witness(phi, diff))
+
+
+def _report(phi: Coloring, mode: SearchMode, facts: Facts) -> RValueReport:
+    """r as ``r_value`` defines it, read off the search or the scans."""
+    if mode is SearchMode.EXHAUSTIVE:
+        r = facts.masks[0].bit_count() if facts.masks else None
+        diffs = [EdgeSet(phi.n, m) for m in facts.masks if m.bit_count() == r]
+        complete = True
+    elif facts.pairs:
+        r, complete = 1, True
+        diffs = [EdgeSet.from_pairs(phi.n, [p]) for p in facts.pairs]
+    elif facts.cycles:
+        r, complete = 4, False
+        diffs = [c.edges for c in facts.cycles]
+    else:
+        r, diffs, complete = None, [], False
+    return RValueReport(r, tuple(make_witness(phi, d) for d in diffs), mode, complete)
+
+
+def in_R(phi: Coloring) -> RMembership:
     """Decide whether the only reconstructions of phi are the trivial ones.
 
     Critical pairs and cycles are scanned first (sound shortcuts to
     NOT_IN_R); otherwise the difference space is searched exhaustively
-    through n = 8, and the verdict is UNKNOWN above that.  ``budget``
-    covers only the first ``budget`` flip sets of the whole space in
-    size-then-colex order: a first non-trivial valid one past them, or
-    none in a space larger than the budget, yields UNKNOWN.
+    through n = 8, and the verdict is UNKNOWN above that.
     """
     if phi.n < 3:
         raise TooSmallError(f"membership needs n >= 3, got {phi.n}")
-    if budget is not None and budget < 0:
-        raise PreconditionError(f"budget must be >= 0, got {budget}")
-    shortcut = _structural_witness(phi)
-    if shortcut is not None:
-        return RMembership(Verdict.NOT_IN_R, make_witness(phi, shortcut))
-    if phi.n > EXHAUSTIVE_MAX_N:
-        return RMembership(Verdict.UNKNOWN, None)
-    p = pair_count(phi.n)
-    covered = 1 << p if budget is None else budget
-    found = _reconstruction_masks(phi)
-    if found and _size_colex_rank(found[0], p) < covered:
-        return RMembership(Verdict.NOT_IN_R, make_witness(phi, EdgeSet(phi.n, found[0])))
-    if found or covered < 1 << p:
-        return RMembership(Verdict.UNKNOWN, None)
-    return RMembership(Verdict.IN_R, None)
+    return _membership(phi, _facts(phi, SearchMode.STRUCTURAL_ONLY, whole=False))
 
 
 def r_value(phi: Coloring, mode: SearchMode = SearchMode.EXHAUSTIVE) -> RValueReport:
@@ -285,28 +308,18 @@ def r_value(phi: Coloring, mode: SearchMode = SearchMode.EXHAUSTIVE) -> RValueRe
     """
     if phi.n < 3:
         raise TooSmallError(f"r-value needs n >= 3, got {phi.n}")
-    if mode is SearchMode.STRUCTURAL_ONLY:
-        pairs = find_critical_pairs(phi)
-        if pairs:
-            witnesses = tuple(
-                make_witness(phi, EdgeSet.from_pairs(phi.n, [p])) for p in pairs
-            )
-            return RValueReport(1, witnesses, mode, complete=True)
-        if phi.n >= 5:
-            cycles = find_critical_cycles(phi)
-            if cycles:
-                witnesses = tuple(make_witness(phi, c.edges) for c in cycles)
-                return RValueReport(4, witnesses, mode, complete=False)
-        return RValueReport(None, (), mode, complete=False)
+    return _report(phi, mode, _facts(phi, mode, whole=False))
 
-    found = _reconstruction_masks(phi)
-    if not found:
-        return RValueReport(None, (), mode, complete=True)
-    r = found[0].bit_count()
-    witnesses = tuple(
-        make_witness(phi, EdgeSet(phi.n, m)) for m in found if m.bit_count() == r
-    )
-    return RValueReport(r, witnesses, mode, complete=True)
+
+def analyze(phi: Coloring, mode: SearchMode) -> tuple[Facts, RMembership, RValueReport]:
+    """Every critical pair and cycle, membership and the r report of phi
+    from one pass: each scan and the search run at most once.  An IN_R
+    verdict makes r not applicable, complete, in either mode."""
+    facts = _facts(phi, mode, whole=True)
+    membership = _membership(phi, facts)
+    if membership.verdict is Verdict.IN_R:
+        return facts, membership, RValueReport(None, (), mode, complete=True)
+    return facts, membership, _report(phi, mode, facts)
 
 
 def minimal_reconstructions(phi: Coloring) -> list[ReconstructionWitness]:

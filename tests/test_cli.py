@@ -1,12 +1,17 @@
 """Command-line behavior: subcommands, exit codes, round trips."""
 
 import json
+import random
+import sys
 
 import pytest
 
-from homrec.cli import main
-from homrec.coloring import Coloring
+from homrec import reconstruct
+from homrec.cli import _analysis, main
+from homrec.coloring import Coloring, pair_count
+from homrec.critical import find_critical_cycles, find_critical_pairs, witness_json
 from homrec.fixtures import partition_coloring, random_coloring
+from homrec.reconstruct import RValueReport, SearchMode, Verdict, in_R, r_value
 
 
 def run(capsys, *argv):
@@ -131,30 +136,109 @@ def test_analyze_rejects_non_integer_n(tmp_path, capsys):
         assert code == 2 and stdout == "" and "integer" in err
 
 
-def test_analyze_rejects_negative_budget(tmp_path, capsys):
-    src = tmp_path / "p6.json"
-    run(capsys, "generate", "partition(6)", "--out", str(src))
-    code, stdout, err = run(capsys, "analyze", str(src), "--budget", "-5")
-    assert code == 2 and stdout == "" and "budget" in err
+def test_analyze_structural_in_R_report_agrees_with_membership(tmp_path, capsys):
+    # no critical pair or cycle, so structural r alone would be unknown;
+    # the search that settles membership also settles r
+    src = tmp_path / "r7.json"
+    run(capsys, "generate", "random(7,0.5,1)", "--out", str(src))
+    code, stdout, _ = run(capsys, "analyze", str(src), "--json", "--mode", "structural")
+    assert code == 0
+    report = json.loads(stdout)
+    assert report["membership"] == {"verdict": "in_R", "witness": None}
+    assert report["r_report"] == {
+        "r": None, "mode": "structural", "complete": True, "witnesses": []
+    }
+    code, stdout, _ = run(capsys, "analyze", str(src), "--mode", "structural")
+    assert "r                   not applicable (mode=structural, complete=True)" in stdout
+
+
+_FACTS = ("find_critical_pairs", "find_critical_cycles", "_reconstruction_masks")
+
+
+@pytest.fixture
+def fact_calls(monkeypatch):
+    """Counts calls to each fact under every name the package binds it to."""
+    calls = dict.fromkeys(_FACTS, 0)
+    for name in _FACTS:
+        original = getattr(reconstruct, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "homrec"]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 @pytest.mark.parametrize(
-    "fixture, verdict",
-    [("random(7,0.5,1)", "in_R"), ("random(6,0.5,12)", "not_in_R")],
+    "n, mode",
+    [(200, "structural"), (200, "exhaustive"), (200, "auto"), (65, "structural"), (9, "exhaustive")],
 )
-def test_analyze_budget_defers_to_complete_r_report(tmp_path, capsys, fixture, verdict):
-    # neither coloring has a critical pair or cycle, so a budget of 1000
-    # leaves in_R undecided; the complete exhaustive r search decides it
+def test_analyze_rejects_n_above_the_mode_ceiling(tmp_path, capsys, fact_calls, n, mode):
+    src = tmp_path / "big.json"
+    src.write_text('{"n": %d, "ones": []}' % n)
+    code, stdout, err = run(capsys, "analyze", str(src), "--mode", mode)
+    assert code == 2 and stdout == "" and f"n={n}" in err
+    assert fact_calls == dict.fromkeys(_FACTS, 0)
+
+
+@pytest.mark.parametrize(
+    "fixture, flags",
+    [
+        ("random(7,0.5,1)", ()),  # no critical structure
+        ("partition(7)", ()),
+        ("random(12,0.5,3)", ("--mode", "structural")),
+    ],
+)
+def test_analyze_computes_each_fact_once(tmp_path, capsys, fact_calls, fixture, flags):
     src = tmp_path / "phi.json"
     run(capsys, "generate", fixture, "--out", str(src))
-    code, budgeted, _ = run(capsys, "analyze", str(src), "--json", "--budget", "1000")
-    assert code == 0
-    report = json.loads(budgeted)
-    assert report["r_report"]["complete"] is True
-    assert report["membership"]["verdict"] == verdict
-    if verdict == "not_in_R":
-        assert report["membership"]["witness"] == report["r_report"]["witnesses"][0]
-    assert budgeted == run(capsys, "analyze", str(src), "--json")[1]
+    assert run(capsys, "analyze", str(src), "--json", *flags)[0] == 0
+    assert all(count <= 1 for count in fact_calls.values())
+    assert fact_calls["find_critical_cycles"] == 1
+
+
+def _expected_analysis(actual: dict, phi: Coloring, mode: str) -> dict:
+    search = SearchMode(mode)
+    cycles = find_critical_cycles(phi) if phi.n >= 5 else []
+    membership = in_R(phi)
+    report = r_value(phi, search)
+    if membership.verdict is Verdict.IN_R:
+        report = RValueReport(None, (), search, complete=True)
+    witness = membership.witness
+    return {
+        **actual,
+        "critical_pairs": [list(p) for p in find_critical_pairs(phi)],
+        "critical_cycles": [witness_json(w) for w in cycles],
+        "membership": {
+            "verdict": membership.verdict.value,
+            "witness": witness and [list(p) for p in witness.difference.members()],
+        },
+        "r_report": report.to_json(),
+    }
+
+
+def _seeded(n: int, count: int) -> list[Coloring]:
+    rng = random.Random(100 + n)
+    return [Coloring(n, rng.getrandbits(pair_count(n))) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "phis",
+    [
+        pytest.param([Coloring(5, b) for b in range(1 << pair_count(5))], id="all-n5"),
+        pytest.param(_seeded(6, 50), id="n6"),
+        pytest.param(_seeded(7, 20), id="n7"),
+        pytest.param(_seeded(8, 4), id="n8"),
+    ],
+)
+def test_single_pass_equals_public_api(phis):
+    for phi in phis:
+        for mode in ("exhaustive", "structural"):
+            actual = _analysis(phi, mode)
+            assert actual == _expected_analysis(actual, phi, mode)
 
 
 @pytest.mark.parametrize(
@@ -181,6 +265,16 @@ def test_verify_rejects_out_of_range_scale(capsys, argv):
     code, stdout, err = run(capsys, "verify", *argv)
     assert code == 2 and stdout == ""
     assert err.startswith("error: ") and argv[1] in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("partition-theorem", "--n", "5"), ("claws", "--samples", "3"), ("alpha", "--seed", "1")],
+)
+def test_verify_rejects_flag_the_suite_does_not_take(capsys, argv):
+    code, stdout, err = run(capsys, "verify", *argv)
+    assert code == 2 and stdout == ""
+    assert err == f"error: {argv[0]} does not take {argv[1]}\n"
 
 
 def test_verify_pass_and_json(capsys):

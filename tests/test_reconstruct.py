@@ -17,6 +17,7 @@ from homrec.coloring import (
     iter_subsets_colex,
     pair_count,
 )
+from homrec.critical import find_critical_cycles, find_critical_pairs
 from homrec.errors import (
     BudgetError,
     DimensionMismatchError,
@@ -27,7 +28,6 @@ from homrec.fixtures import fig_critical_cycle
 from homrec.reconstruct import (
     SearchMode,
     Verdict,
-    _structural_witness,
     component_restriction_valid,
     enumerate_reconstructions,
     in_R,
@@ -137,14 +137,6 @@ def test_homsum_not_in_R_with_small_witness(homsum_pair):
     assert member.witness.size() <= 5
 
 
-def test_in_R_budget_yields_unknown():
-    # all-zero on 6 vertices has no critical structure; a tiny budget
-    # cannot exhaust the 2^15 candidates
-    member = in_R(Coloring.zero(6), budget=10)
-    assert member.verdict is Verdict.UNKNOWN
-    assert in_R(Coloring.zero(6), budget=1 << 15).verdict is Verdict.IN_R
-
-
 def test_in_R_large_n_without_structure_is_unknown():
     assert in_R(Coloring.zero(9)).verdict is Verdict.UNKNOWN
 
@@ -194,14 +186,6 @@ def test_r_exhaustive_refuses_large_n():
         list(enumerate_reconstructions(Coloring.zero(9), max_size=1))
     report = r_value(Coloring.zero(8))  # n = 8 is within the exhaustive ceiling
     assert report.r is None and report.complete
-
-
-def test_in_R_n8_budget_unknown():
-    # all-one on 8 vertices has no critical structure; a capped scan of
-    # the 2^28 space must come back undecided
-    member = in_R(Coloring.all_one(8), budget=5000)
-    assert member.verdict is Verdict.UNKNOWN
-    assert in_R(Coloring.all_one(8), budget=1 << 28).verdict is Verdict.IN_R
 
 
 def test_r_report_json(partition6):
@@ -267,16 +251,13 @@ def test_minimal_witnesses_are_connected(phi):
 
 @lru_cache(maxsize=None)
 def _space(n: int):
-    """All masks in size-then-colex order, and each mask's position in it."""
+    """All masks in size-then-colex order."""
     masks = kernels.all_masks(n)
-    order = np.lexsort((masks, kernels.popcounts(masks)))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return masks[order], rank
+    return masks[np.lexsort((masks, kernels.popcounts(masks)))]
 
 
-def _check_against_sweep(phi: Coloring, budgets=()) -> None:
-    ordered, rank = _space(phi.n)
+def _check_against_sweep(phi: Coloring) -> None:
+    ordered = _space(phi.n)
     full = (1 << pair_count(phi.n)) - 1
     valid = ordered[kernels.valid_for_phi(phi.n, phi.bits, ordered)].tolist()
     swept = [m for m in valid if m not in (0, full)]
@@ -289,37 +270,31 @@ def _check_against_sweep(phi: Coloring, budgets=()) -> None:
     ]
     assert [w.difference.mask for w in enumerate_reconstructions(phi)] == swept
 
-    shortcut = _structural_witness(phi)
-    if swept:  # the budget boundary around the first hit
-        budgets = (*budgets, int(rank[swept[0]]), int(rank[swept[0]]) + 1)
-    for budget in (None, *budgets):
-        covered = full + 1 if budget is None else budget
-        hits = [m for m in swept if rank[m] < covered]
-        if shortcut is not None:
-            expected = (Verdict.NOT_IN_R, shortcut.mask)
-        elif hits:
-            expected = (Verdict.NOT_IN_R, hits[0])
-        elif covered <= full:
-            expected = (Verdict.UNKNOWN, None)
-        else:
-            expected = (Verdict.IN_R, None)
-        member = in_R(phi, budget)
-        assert (member.verdict, member.witness and member.witness.difference.mask) == expected
+    pairs = find_critical_pairs(phi)
+    cycles = find_critical_cycles(phi) if phi.n >= 5 else []
+    if pairs:
+        expected = (Verdict.NOT_IN_R, EdgeSet.from_pairs(phi.n, [pairs[0]]).mask)
+    elif cycles:
+        expected = (Verdict.NOT_IN_R, cycles[0].edges.mask)
+    elif swept:
+        expected = (Verdict.NOT_IN_R, swept[0])
+    else:
+        expected = (Verdict.IN_R, None)
+    member = in_R(phi)
+    assert (member.verdict, member.witness and member.witness.difference.mask) == expected
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_search_matches_sweep_exhaustively(n):
-    space = 1 << pair_count(n)
-    for bits in range(space):
-        _check_against_sweep(Coloring(n, bits), budgets=(0, 1, 10, 100, space - 1, space))
+    for bits in range(1 << pair_count(n)):
+        _check_against_sweep(Coloring(n, bits))
 
 
 @pytest.mark.parametrize("n, samples", [(6, 200), (7, 25)])
 def test_search_matches_sweep_on_samples(n, samples):
     rng = random.Random(n)
-    space = 1 << pair_count(n)
     for _ in range(samples):
-        _check_against_sweep(Coloring(n, rng.getrandbits(pair_count(n))), budgets=(0, space))
+        _check_against_sweep(Coloring(n, rng.getrandbits(pair_count(n))))
 
 
 def _two_k4() -> Coloring:

@@ -59,6 +59,9 @@ def _load_coloring(path: str, member: str) -> Coloring:
         if member not in ("phi", "psi", "sum"):
             raise HomrecError(f"pair file member must be phi/psi/sum, got {member!r}")
         obj = obj[member]
+    n = obj.get("n") if isinstance(obj, dict) else None
+    if isinstance(n, int) and n > STRUCTURAL_MAX_N:
+        raise BudgetError(f"{path}: coloring files take n <= {STRUCTURAL_MAX_N}, got n={n}")
     try:
         return Coloring.from_json(obj)
     except (HomrecError, ValueError, TypeError, KeyError) as exc:
@@ -202,10 +205,11 @@ def _parse_highlight(n: int, text: str) -> EdgeSet:
         chunk = chunk.strip()
         if not chunk:
             continue
-        bits = chunk.split("-")
-        if len(bits) != 2:
-            raise HomrecError(f"bad highlight pair {chunk!r}; use like 0-1,2-3")
-        pairs.append((int(bits[0]), int(bits[1])))
+        try:
+            x, y = (int(end) for end in chunk.split("-"))
+        except ValueError as exc:
+            raise HomrecError(f"bad highlight pair {chunk!r}; use like 0-1,2-3") from exc
+        pairs.append((x, y))
     return EdgeSet.from_pairs(n, pairs)
 
 

@@ -21,6 +21,7 @@ from typing import Optional
 
 from .coloring import Coloring, EdgeSet, boolean_sum, pairs_of
 from .errors import FixtureError
+from .reconstruct import STRUCTURAL_MAX_N
 from .srcheck import alpha_coloring
 from .structure import make_cycle_pair, make_path_pair
 
@@ -198,13 +199,20 @@ def parse_fixture(text: str) -> Fixture:
         name, inner = text[:-1].split("(", 1)
         args = [a.strip() for a in inner.split(",")] if inner.strip() else []
 
+    def size(value: int) -> int:
+        # building a coloring sets bits on a growing int: superlinear in n
+        if value > STRUCTURAL_MAX_N:
+            raise FixtureError(f"{name} takes a size of at most {STRUCTURAL_MAX_N}, got {value}")
+        return value
+
     def ints(count: int) -> list[int]:
         if len(args) != count:
             raise FixtureError(f"{name} expects {count} argument(s), got {len(args)}")
         try:
-            return [int(a) for a in args]
+            values = [int(a) for a in args]
         except ValueError as exc:
             raise FixtureError(f"non-integer argument for {name}: {args}") from exc
+        return [size(values[0]), *values[1:]] if values else values
 
     try:
         if name == "partition":
@@ -242,7 +250,8 @@ def parse_fixture(text: str) -> Fixture:
         if name == "random":
             if len(args) != 3:
                 raise FixtureError("random expects (n, density, seed)")
-            return Fixture(text, random_coloring(int(args[0]), float(args[1]), int(args[2])))
+            n = size(int(args[0]))
+            return Fixture(text, random_coloring(n, float(args[1]), int(args[2])))
     except FixtureError:
         raise
     except (ValueError, TypeError) as exc:

@@ -12,6 +12,14 @@ set D inside F that stays admissible in every 7-set extension of F;
 flipping D globally then produces a non-trivial reconstruction of the
 whole coloring.
 
+Condition (c) needs no 7-set to be built.  Let n >= 7 and D be pairs
+inside F.  A triple that meets D lies inside F, the same for every 7-set
+G containing F, or is {x, y, z} with {x, y} in D and z outside F; it
+carries one D-edge and so asks that z is not in the B-set of {x, y}.
+Every such z lies in some G, as n - 4 >= 3.  So D survives every 7-set
+extension of F <=> D is valid on phi|F and every B(x, y), {x, y} in D,
+lies inside F <=> D is a valid difference of phi.
+
 The alpha coloring is determined by three interlocking rules (and a free
 seed bit s = alpha{0,1}):
 
@@ -30,7 +38,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .coloring import Coloring, EdgeSet, hom_signature, pair_index, restrict
+from .coloring import Coloring, EdgeSet, hom_signature, iter_subsets_colex, pair_index, restrict
 from .critical import b_set, find_critical_cycles, is_critical_pair
 from .errors import (
     BudgetError,
@@ -40,7 +48,7 @@ from .errors import (
     PreconditionError,
     TooSmallError,
 )
-from .reconstruct import Verdict, in_R, is_valid_difference
+from .reconstruct import EXHAUSTIVE_MAX_N, Verdict, in_R, is_valid_difference
 
 __all__ = [
     "AlphaReport",
@@ -52,8 +60,6 @@ __all__ = [
     "theorem63_condition_c",
     "verify_alpha",
 ]
-
-SR_MAX_G = 7  # restrictions are decided by exhaustive search; see reconstruct
 
 
 def _check_subset(n: int, verts: Iterable[int]) -> tuple[int, ...]:
@@ -111,8 +117,8 @@ def is_SR_finite(phi: Coloring, max_g: int) -> SRReport:
         raise TooSmallError(f"SR check needs n >= 4, got {phi.n}")
     if max_g < 4:
         raise PreconditionError(f"max_g must be at least 4, got {max_g}")
-    if max_g > SR_MAX_G:
-        raise BudgetError(f"max_g={max_g} above the exhaustive ceiling {SR_MAX_G}")
+    if max_g > EXHAUSTIVE_MAX_N:
+        raise BudgetError(f"max_g={max_g} above the exhaustive ceiling {EXHAUSTIVE_MAX_N}")
     memo: dict[tuple[int, ...], bool] = {}
 
     def reconstructible(g: tuple[int, ...]) -> bool:
@@ -147,22 +153,23 @@ def is_SR_finite(phi: Coloring, max_g: int) -> SRReport:
 @dataclass(frozen=True)
 class Theorem63Witness:
     """A 4-set F and a flip set D inside it that remains admissible for
-    the restriction to every 7-set extension of F.  The global flip of D
-    is then a non-trivial reconstruction of the whole coloring."""
+    the restriction to every 7-set extension of F; by the lemma in the
+    module docstring, D is then a valid difference of the whole coloring,
+    and its global flip is a non-trivial reconstruction."""
 
     F: tuple[int, int, int, int]
     D: EdgeSet
-    checked_Gs: int
-
-
-def _embed(diff_pairs: list[tuple[int, int]], positions: dict[int, int], m: int) -> EdgeSet:
-    return EdgeSet.from_pairs(m, [(positions[x], positions[y]) for x, y in diff_pairs])
 
 
 def theorem63_condition_c(phi: Coloring) -> Optional[Theorem63Witness]:
     """First (F, D) such that D is a non-trivial valid difference for the
     restriction to F and stays valid for the restriction to every 7-set
-    containing F; None when no pair survives.
+    containing F; None when no pair survives.  F runs over the 4-sets in
+    lexicographic order, D over 1 to 5 of F's pairs by size, then colex.
+
+    By the lemma in the module docstring, D survives every 7-set exactly
+    when it is a valid difference of phi, so pairs whose B-set leaves F
+    are skipped before that single check.
 
     Asking for a reconstruction of each extension with the same
     difference set is equivalent to this, because the reconstruction is
@@ -170,39 +177,23 @@ def theorem63_condition_c(phi: Coloring) -> Optional[Theorem63Witness]:
     """
     if phi.n < 7:
         raise TooSmallError(f"the characterization needs n >= 7, got {phi.n}")
+    b_sets = {pair: frozenset(b_set(phi, pair).members) for pair in combinations(range(phi.n), 2)}
     for f in combinations(range(phi.n), 4):
-        phi_f = restrict(phi, f)
-        rest = [v for v in range(phi.n) if v not in f]
+        inside = frozenset(f)
+        local = [(x, y) for y in f for x in f if x < y]  # colex, as the masks
+        allowed = sum(1 << k for k, pair in enumerate(local) if b_sets[pair] <= inside)
+        if not allowed:
+            continue
         for size in range(1, 6):
-            for mask in _subset_masks(6, size):
-                if not is_valid_difference(phi_f, EdgeSet(4, mask)):
+            for mask in iter_subsets_colex(6, size):
+                if mask & ~allowed:
                     continue
-                pairs_in_f = [
-                    (f[i], f[j])
-                    for i in range(4)
-                    for j in range(i + 1, 4)
-                    if (mask >> pair_index(i, j)) & 1
-                ]
-                checked = 0
-                survives = True
-                for extra in combinations(rest, 3):
-                    g = tuple(sorted(f + extra))
-                    positions = {v: k for k, v in enumerate(g)}
-                    checked += 1
-                    if not is_valid_difference(
-                        restrict(phi, g), _embed(pairs_in_f, positions, 7)
-                    ):
-                        survives = False
-                        break
-                if survives:
-                    return Theorem63Witness(f, EdgeSet.from_pairs(phi.n, pairs_in_f), checked)
+                diff = EdgeSet.from_pairs(
+                    phi.n, [pair for k, pair in enumerate(local) if mask >> k & 1]
+                )
+                if is_valid_difference(phi, diff):
+                    return Theorem63Witness(f, diff)
     return None
-
-
-def _subset_masks(universe: int, size: int):
-    from .coloring import iter_subsets_colex
-
-    return iter_subsets_colex(universe, size)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,19 @@ def test_generate_unknown_fixture_exits_2(capsys):
     assert code == 2 and "unknown fixture" in err
 
 
+@pytest.mark.parametrize(
+    "fixture", ["partition(65)", "alpha(65,1)", "path-pair(65,1,0)", "random(65,0.5,1)"]
+)
+def test_generate_rejects_size_above_the_structural_ceiling(capsys, fixture):
+    code, stdout, err = run(capsys, "generate", fixture)
+    assert code == 2 and stdout == "" and "at most 64, got 65" in err
+
+
+def test_generate_takes_size_at_the_structural_ceiling(capsys):
+    code, stdout, _ = run(capsys, "generate", "random(64,0.5,1)")
+    assert code == 0 and json.loads(stdout)["n"] == 64
+
+
 def test_analyze_partition_values(tmp_path, capsys):
     out = tmp_path / "p6.json"
     run(capsys, "generate", "partition(6)", "--out", str(out))
@@ -299,5 +312,13 @@ def test_export_dot(tmp_path, capsys):
     assert code == 0
     assert stdout.startswith("graph coloring {")
     assert "0 -- 2 [color=black, style=solid, penwidth=2.5];" in stdout
-    code, _, _ = run(capsys, "export-dot", str(src), "--highlight", "0:2")
-    assert code == 2
+    for bad in ("0:2", "a-b"):
+        code, stdout, err = run(capsys, "export-dot", str(src), "--highlight", bad)
+        assert code == 2 and stdout == "" and "bad highlight pair" in err
+
+
+def test_export_dot_rejects_n_above_the_structural_ceiling(tmp_path, capsys):
+    src = tmp_path / "big.json"
+    src.write_text('{"n": 65, "ones": []}')
+    code, stdout, err = run(capsys, "export-dot", str(src))
+    assert code == 2 and stdout == "" and "n=65" in err

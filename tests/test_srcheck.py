@@ -1,15 +1,25 @@
 """The alpha coloring, the E_i property, finite SR, and the 4-set/7-set
 characterization of non-reconstructibility."""
 
+import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import homrec
 
-from homrec.coloring import Coloring, h_equivalent, restrict
+from homrec.coloring import (
+    Coloring,
+    EdgeSet,
+    h_equivalent,
+    iter_subsets_colex,
+    pair_count,
+    pair_index,
+    restrict,
+)
 from homrec.errors import (
     BudgetError,
     DegenerateInputError,
@@ -17,8 +27,9 @@ from homrec.errors import (
     PreconditionError,
     TooSmallError,
 )
-from homrec.fixtures import partition_coloring
+from homrec.fixtures import fig_two_cycles, partition_coloring, random_coloring
 from homrec.critical import flip_reconstruction
+from homrec.reconstruct import is_valid_difference
 from homrec.srcheck import (
     alpha_coloring,
     e_property_witness,
@@ -175,9 +186,16 @@ def test_sr_alpha10_fails_exactly_on_sets_containing_0():
     assert report.per_F[(1, 2, 4, 6)] == (1, 2, 4, 6)  # an all-one restriction
 
 
-def _has_finite_e_property(phi, color, up_to):
-    from itertools import combinations
+def test_sr_takes_the_exhaustive_ceiling_of_eight():
+    # 8-vertex restrictions are decided exactly; a smallest qualifying
+    # superset never exceeds 7 here, so the larger search agrees
+    for phi in (alpha_coloring(10), partition_coloring(9)):
+        big, small = is_SR_finite(phi, 8), is_SR_finite(phi, 7)
+        assert big.max_g == 8
+        assert (big.holds, big.failing_F, big.per_F) == (small.holds, small.failing_F, small.per_F)
 
+
+def _has_finite_e_property(phi, color, up_to):
     return all(
         e_property_witness(phi, f, color) is not None
         for size in range(1, up_to + 1)
@@ -205,7 +223,7 @@ def test_sr_validation():
     with pytest.raises(TooSmallError):
         is_SR_finite(Coloring.zero(3), 5)
     with pytest.raises(BudgetError):
-        is_SR_finite(Coloring.zero(7), 8)
+        is_SR_finite(Coloring.zero(9), 9)
     with pytest.raises(PreconditionError):
         is_SR_finite(Coloring.zero(7), 3)
 
@@ -219,7 +237,6 @@ def test_theorem63_partition_witness():
     assert w is not None
     assert w.F == (0, 1, 2, 3)
     assert w.D.members() == [(0, 1)]
-    assert w.checked_Gs == 4  # C(4, 3) extensions
 
 
 def test_theorem63_alpha10_boundary_witness():
@@ -249,3 +266,94 @@ def test_theorem63_witness_flips_to_reconstruction():
 def test_theorem63_needs_seven_vertices():
     with pytest.raises(TooSmallError):
         theorem63_condition_c(Coloring.zero(6))
+
+
+# ---------------------------------------------------------------------------
+# condition (c) against the literal 7-set extension loop
+
+
+def _survives_every_7set(phi, f, pairs_in_f):
+    """Reference: D is valid on the restriction to every 7-set G >= F."""
+    rest = [v for v in range(phi.n) if v not in f]
+    for extra in combinations(rest, 3):
+        g = tuple(sorted(f + extra))
+        at = {v: k for k, v in enumerate(g)}
+        embedded = EdgeSet.from_pairs(7, [(at[x], at[y]) for x, y in pairs_in_f])
+        if not is_valid_difference(restrict(phi, g), embedded):
+            return False
+    return True
+
+
+def _flip_sets_inside(f):
+    """The 62 non-empty proper D inside F, by size then colex, as
+    (mask on phi|F, pairs of phi)."""
+    for size in range(1, 6):
+        for mask in iter_subsets_colex(6, size):
+            yield mask, [
+                (f[i], f[j])
+                for i in range(4)
+                for j in range(i + 1, 4)
+                if (mask >> pair_index(i, j)) & 1
+            ]
+
+
+def _reference_condition_c(phi):
+    """The 7-set extension loop that condition (c) states literally:
+    first (F, D) with D valid on phi|F and on every 7-set containing F."""
+    for f in combinations(range(phi.n), 4):
+        phi_f = restrict(phi, f)
+        for mask, pairs_in_f in _flip_sets_inside(f):
+            if is_valid_difference(phi_f, EdgeSet(4, mask)) and _survives_every_7set(
+                phi, f, pairs_in_f
+            ):
+                return f, EdgeSet.from_pairs(phi.n, pairs_in_f)
+    return None
+
+
+def _seeded_colorings(n, count, seed):
+    rng = random.Random(seed)
+    return [Coloring(n, rng.getrandbits(pair_count(n))) for _ in range(count)]
+
+
+def test_seven_set_survival_is_global_validity():
+    # the lemma: for n >= 7, D inside F survives every 7-set extension of
+    # F exactly when D is a valid difference of phi; n = 7 alone would
+    # prove nothing, since phi is its only 7-set
+    rng = random.Random(63)
+    survivors = checked = 0
+    for n in (8, 9, 10):
+        phis = _seeded_colorings(n, 3, 630 + n) + [partition_coloring(n), alpha_coloring(n)]
+        for phi in phis:
+            for _ in range(3):
+                f = tuple(sorted(rng.sample(range(n), 4)))
+                phi_f = restrict(phi, f)
+                for mask, pairs_in_f in _flip_sets_inside(f):
+                    literal = is_valid_difference(
+                        phi_f, EdgeSet(4, mask)
+                    ) and _survives_every_7set(phi, f, pairs_in_f)
+                    assert literal == is_valid_difference(
+                        phi, EdgeSet.from_pairs(n, pairs_in_f)
+                    ), (phi, f, pairs_in_f)
+                    checked += 1
+                    survivors += literal
+    assert checked == 45 * 62
+    assert survivors > 0
+
+
+def test_condition_c_matches_the_seven_set_loop():
+    inputs = [partition_coloring(8), alpha_coloring(9), alpha_coloring(10)]
+    # a critical cycle, whose pairs each have a one-vertex B-set inside F
+    inputs.append(fig_two_cycles())
+    # {1, 2} and {0, 3} are critical, {0, 1} and {0, 2} are not: the colex
+    # order of F's pairs picks D = {1, 2}, a lexicographic one {0, 3}
+    inputs.append(Coloring(8, 0x87554D6))
+    for n in (8, 9, 10):
+        for k, density in enumerate((0.2, 0.5, 0.8)):
+            inputs += [random_coloring(n, density, 1000 * n + 10 * k + i) for i in range(3)]
+    found = 0
+    for phi in inputs:
+        w = theorem63_condition_c(phi)
+        assert (w and (w.F, w.D)) == _reference_condition_c(phi), phi
+        found += w is not None
+    # the five fixed inputs have witnesses; so do some random inputs, not all
+    assert 5 < found < len(inputs)

@@ -23,7 +23,7 @@ import json
 import sys
 from pathlib import Path
 
-from .coloring import Coloring, EdgeSet, hom_signature, hom_sets
+from .coloring import Coloring, EdgeSet, hom_sets, hom_triple_counts
 from .critical import witness_json
 from .errors import BudgetError, HomrecError
 from .fixtures import fixture_names, parse_fixture
@@ -58,7 +58,11 @@ def _load_coloring(path: str, member: str) -> Coloring:
     if isinstance(obj, dict) and {"phi", "psi"} <= set(obj):
         if member not in ("phi", "psi", "sum"):
             raise HomrecError(f"pair file member must be phi/psi/sum, got {member!r}")
+        if member not in obj:
+            raise HomrecError(f"{path} has no member {member!r}")
         obj = obj[member]
+    elif member != "phi":
+        raise HomrecError(f"{path} holds one coloring; --member {member} needs a pair file")
     n = obj.get("n") if isinstance(obj, dict) else None
     if isinstance(n, int) and n > STRUCTURAL_MAX_N:
         raise BudgetError(f"{path}: coloring files take n <= {STRUCTURAL_MAX_N}, got n={n}")
@@ -81,17 +85,15 @@ def _analysis(phi: Coloring, mode: str) -> dict:
     if mode == "auto":
         mode = "exhaustive" if phi.n <= EXHAUSTIVE_MAX_N else "structural"
 
-    sig = hom_signature(phi)
+    maximal = hom_sets(phi)  # first: it is the part that can exceed its bound
     facts, membership, report = analyze(phi, SearchMode(mode))
     return {
         "schema_version": SCHEMA_VERSION,
         "n": phi.n,
         "coloring": phi.to_json(),
         "hom": {
-            "triples": sum(1 for k in sig.kinds if k),
-            "maximal_sets": [
-                {"vertices": list(h.vertices), "color": h.color} for h in hom_sets(phi)
-            ],
+            "triples": sum(hom_triple_counts(phi)),
+            "maximal_sets": [{"vertices": list(h.vertices), "color": h.color} for h in maximal],
         },
         "critical_pairs": [list(p) for p in facts.pairs],
         "critical_cycles": [witness_json(w) for w in facts.cycles],

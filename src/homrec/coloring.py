@@ -10,6 +10,10 @@ so the restriction of a coloring to a prefix {0..m-1} is a prefix of its
 bit sequence.  Colorings and edge sets are immutable and store their pair
 sets as integer bitmasks (bit i = pair with index i).
 
+Both also keep one neighbourhood mask per vertex (``Coloring.nbr``,
+``EdgeSet.adj``: bit z of entry x is the pair {x, z}), built on first use,
+so per-pair questions are a few integer operations.
+
 A set H of at least 3 vertices is homogeneous when the coloring is
 constant on the pairs inside H.  Two colorings are H-equivalent when they
 have the same homogeneous sets; this only depends on the homogeneous
@@ -21,12 +25,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
-import networkx as nx
-
 from .errors import (
+    BudgetError,
     DimensionMismatchError,
     InvalidPairError,
     InvalidSubsetError,
@@ -39,12 +42,14 @@ __all__ = [
     "HomSet",
     "HomSignature",
     "TripleKind",
+    "bits_of",
     "boolean_sum",
     "complement",
     "difference",
     "h_equivalent",
     "hom_sets",
     "hom_signature",
+    "hom_triple_counts",
     "pair_at",
     "pair_count",
     "pair_index",
@@ -105,6 +110,26 @@ def _norm_pair(pair: Sequence[int]) -> tuple[int, int]:
     return (x, y) if x < y else (y, x)
 
 
+def bits_of(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _vertex_masks(n: int, bits: int) -> tuple[int, ...]:
+    """Per vertex x, the mask of the z with pair {x, z} set in ``bits``.
+    Row y below y is the slice of ``bits`` from y(y-1)/2; above, its transpose."""
+    rows = [0] * n
+    for y in range(1, n):
+        low = bits >> (y * (y - 1) // 2) & ((1 << y) - 1)
+        rows[y] |= low
+        for x in bits_of(low):
+            rows[x] |= 1 << y
+    return tuple(rows)
+
+
 # ---------------------------------------------------------------------------
 # colorings
 
@@ -148,13 +173,21 @@ class Coloring:
 
     # queries -----------------------------------------------------------
 
+    @cached_property
+    def nbr(self) -> tuple[int, ...]:
+        """Per vertex x, the mask of the z with phi{x, z} = 1."""
+        return _vertex_masks(self.n, self.bits)
+
     def get(self, x: int, y: int) -> int:
         x, y = (x, y) if x < y else (y, x)
-        return (self.bits >> pair_index(x, y, self.n)) & 1
+        if not 0 <= x < y < self.n:
+            pair_index(x, y, self.n)  # raises the error that names the fault
+        return self.nbr[x] >> y & 1
 
     def ones(self) -> list[tuple[int, int]]:
         """Pairs colored 1, in colex order."""
-        return [p for i, p in enumerate(pairs_of(self.n)) if (self.bits >> i) & 1]
+        pairs = pairs_of(self.n)
+        return [pairs[i] for i in bits_of(self.bits)]
 
     def complement(self) -> "Coloring":
         return Coloring(self.n, self.bits ^ ((1 << pair_count(self.n)) - 1))
@@ -274,16 +307,24 @@ class EdgeSet:
         return cls(phi.n, phi.bits ^ ((1 << pair_count(phi.n)) - 1))
 
     def members(self) -> list[tuple[int, int]]:
-        return [p for i, p in enumerate(pairs_of(self.n)) if (self.mask >> i) & 1]
+        pairs = pairs_of(self.n)
+        return [pairs[i] for i in bits_of(self.mask)]
 
     def __len__(self) -> int:
         return self.mask.bit_count()
+
+    @cached_property
+    def adj(self) -> tuple[int, ...]:
+        """Per vertex x, the mask of the z with {x, z} a member."""
+        return _vertex_masks(self.n, self.mask)
 
     def __contains__(self, pair: Sequence[int]) -> bool:
         x, y = _norm_pair(pair)
         if y >= self.n:
             return False
-        return bool((self.mask >> pair_index(x, y)) & 1)
+        if x < 0:
+            pair_index(x, y)  # raises the error that names the fault
+        return bool(self.adj[x] >> y & 1)
 
     def __or__(self, other: "EdgeSet") -> "EdgeSet":
         if self.n != other.n:
@@ -313,11 +354,7 @@ class EdgeSet:
 
     def vertices(self) -> list[int]:
         """Vertices incident to at least one member edge, ascending."""
-        seen: set[int] = set()
-        for x, y in self.members():
-            seen.add(x)
-            seen.add(y)
-        return sorted(seen)
+        return [x for x, m in enumerate(self.adj) if m]
 
 
 def difference(phi: Coloring, psi: Coloring) -> EdgeSet:
@@ -393,27 +430,97 @@ class HomSet:
     color: int
 
 
+# The most maximal homogeneous sets ``hom_sets`` lists: their number grows
+# up to 3^(n/3) (Moon-Moser), minutes and gigabytes at n = 64.
+HOM_SETS_MAX = 1 << 18
+
+
+def _color_masks(phi: Coloring, color: int) -> tuple[int, ...]:
+    """Per vertex x, the mask of the z != x with phi{x, z} = ``color``."""
+    if color:
+        return phi.nbr
+    full = (1 << phi.n) - 1
+    return tuple(full ^ m ^ (1 << x) for x, m in enumerate(phi.nbr))
+
+
+def hom_triple_counts(phi: Coloring) -> tuple[int, int]:
+    """Numbers of homogeneous triples of color 0 and of color 1.
+
+    A triple x < y < z is homogeneous of color c exactly when z lies
+    above y in the common c-neighbourhood of the c-pair {x, y}.
+    """
+    if phi.n < 3:
+        raise TooSmallError(f"homogeneity needs n >= 3, got {phi.n}")
+    counts = []
+    for color in (0, 1):
+        masks = _color_masks(phi, color)
+        count = 0
+        for x, mx in enumerate(masks):
+            for y in bits_of(mx >> (x + 1) << (x + 1)):
+                count += ((mx & masks[y]) >> (y + 1)).bit_count()
+        counts.append(count)
+    return counts[0], counts[1]
+
+
+def _maximal_cliques(adj: Sequence[int], min_size: int, found: list[tuple[int, ...]]) -> None:
+    """Append, as ascending vertex tuples, the maximal cliques of at least
+    ``min_size`` vertices of the graph with neighbourhood masks ``adj``.
+
+    Bron-Kerbosch with Tomita pivoting: r is the clique so far, p the
+    vertices that extend it, x those that extend it but were already
+    tried; only vertices outside the pivot's neighbourhood are branched on.
+    """
+    r: list[int] = []
+
+    def expand(p: int, x: int) -> None:
+        if not p:
+            if not x and len(r) >= min_size:
+                if len(found) == HOM_SETS_MAX:
+                    raise BudgetError(f"more than {HOM_SETS_MAX} maximal homogeneous sets")
+                found.append(tuple(sorted(r)))
+            return
+        if len(r) + p.bit_count() < min_size:
+            return  # every clique found below is too small
+        best = -1
+        rest = p | x
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            count = (p & adj[u]).bit_count()
+            if count > best:
+                best, pivot = count, u
+            rest ^= low
+        branch = p & ~adj[pivot]
+        while branch:
+            low = branch & -branch
+            v = low.bit_length() - 1
+            r.append(v)
+            expand(p & adj[v], x & adj[v])
+            r.pop()
+            p ^= low
+            x |= low
+            branch ^= low
+
+    expand((1 << len(adj)) - 1, 0)
+
+
 def hom_sets(phi: Coloring, min_size: int = 3) -> list[HomSet]:
     """All maximal homogeneous sets of size >= min_size, with their color.
 
     Maximal homogeneous 1-sets are the maximal cliques of the 1-graph;
     0-sets are the maximal cliques of the complement.  Every homogeneous
-    set is a subset of one of these.
+    set is a subset of one of these.  Raises ``BudgetError`` when there
+    are more than ``HOM_SETS_MAX`` of them.
     """
     if min_size < 3:
         raise TooSmallError(f"homogeneous sets have size >= 3, got {min_size}")
     if phi.n < 3:
         raise TooSmallError(f"homogeneity needs n >= 3, got {phi.n}")
-    found: list[HomSet] = []
-    for color in (0, 1):
-        graph = nx.Graph()
-        graph.add_nodes_from(range(phi.n))
-        graph.add_edges_from(
-            p for p in pairs_of(phi.n) if phi.get(*p) == color
-        )
-        for clique in nx.find_cliques(graph):
-            if len(clique) >= min_size:
-                found.append(HomSet(tuple(sorted(clique)), color))
+    cliques: list[tuple[int, ...]] = []
+    _maximal_cliques(_color_masks(phi, 0), min_size, cliques)
+    zeros = len(cliques)
+    _maximal_cliques(_color_masks(phi, 1), min_size, cliques)
+    found = [HomSet(c, int(i >= zeros)) for i, c in enumerate(cliques)]
     found.sort(key=lambda h: (h.vertices, h.color))
     return found
 

@@ -20,7 +20,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .coloring import Coloring, EdgeSet, pairs_of
+from .coloring import Coloring, EdgeSet, bits_of, pairs_of
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -82,15 +82,18 @@ def _check_pair(phi: Coloring, pair: Sequence[int]) -> tuple[int, int]:
     return (x, y) if x < y else (y, x)
 
 
+def _b_mask(phi: Coloring, x: int, y: int) -> int:
+    """B(x, y) as a vertex mask: the z that see x and y alike, bar x and y."""
+    nbr = phi.nbr
+    return ~(nbr[x] ^ nbr[y] | 1 << x | 1 << y) & ((1 << phi.n) - 1)
+
+
 def b_set(phi: Coloring, pair: Sequence[int]) -> BSet:
     """External vertices that see both ends of the pair in the same color."""
     if phi.n < 3:
         raise TooSmallError(f"B-sets need n >= 3, got {phi.n}")
     x, y = _check_pair(phi, pair)
-    members = tuple(
-        z for z in range(phi.n) if z != x and z != y and phi.get(x, z) == phi.get(y, z)
-    )
-    return BSet((x, y), members)
+    return BSet((x, y), tuple(bits_of(_b_mask(phi, x, y))))
 
 
 def is_critical_pair(phi: Coloring, pair: Sequence[int]) -> bool:
@@ -101,7 +104,7 @@ def find_critical_pairs(phi: Coloring) -> list[tuple[int, int]]:
     """All critical pairs, in colex order."""
     if phi.n < 3:
         raise TooSmallError(f"criticality needs n >= 3, got {phi.n}")
-    return [p for p in pairs_of(phi.n) if is_critical_pair(phi, p)]
+    return [(x, y) for x, y in pairs_of(phi.n) if not _b_mask(phi, x, y)]
 
 
 def _orientation_for(phi: Coloring, a: int, b: int, c: int, d: int) -> Optional[Orientation]:
@@ -147,11 +150,9 @@ def is_critical_cycle(
     if orientation is None:
         return None
     cycle_pairs = [(a, b), (b, c), (c, d), (d, a)]
-    outside = [z for z in range(phi.n) if z not in quad]
-    for x, y in cycle_pairs:
-        for z in outside:
-            if phi.get(x, z) == phi.get(y, z):
-                return None
+    inside = 1 << a | 1 << b | 1 << c | 1 << d
+    if any(_b_mask(phi, x, y) & ~inside for x, y in cycle_pairs):
+        return None
     return CriticalCycleWitness(quad, orientation, EdgeSet.from_pairs(phi.n, cycle_pairs))
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "hom_projection_rows",
     "hom_projection_table",
     "local_valid_rows",
-    "popcounts",
     "unpack_masks",
     "valid_for_phi",
 ]
@@ -145,10 +144,6 @@ def hom_projection_table(n: int) -> np.ndarray:
         hom = (fa == fb) & (fb == fc)
         table |= hom.astype(np.uint64) << np.uint64(t)
     return table
-
-
-def popcounts(masks: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(masks)
 
 
 @lru_cache(maxsize=None)

@@ -145,34 +145,27 @@ def is_valid_difference(phi: Coloring, diff: EdgeSet) -> bool:
     """Whether flipping phi on ``diff`` preserves all homogeneous sets.
 
     Implemented by the local triple criterion; only triples touching a
-    D-edge can impose a constraint, so the scan is O(|D| * n).
+    D-edge can impose a constraint, and for each D-edge the three kinds
+    of such triples are three tests on the neighbourhood masks.
     """
     if phi.n != diff.n:
         raise DimensionMismatchError(f"n mismatch: {phi.n} != {diff.n}")
     if phi.n < 3:
         raise TooSmallError(f"validity needs n >= 3, got {phi.n}")
-    get = phi.get
-    has = diff.__contains__
+    nbr, adj = phi.nbr, diff.adj
+    full = (1 << phi.n) - 1
     for x, y in diff.members():
-        for z in range(phi.n):
-            if z == x or z == y:
-                continue
-            in_xz = has((x, z))
-            in_yz = has((y, z))
-            if in_xz and in_yz:
-                continue  # three D-edges: unconstrained
-            if not in_xz and not in_yz:
-                # exactly one D-edge {x,y}; z is the external vertex
-                if get(x, z) == get(y, z):
-                    return False
-            elif in_xz:
-                # D-edges {x,y} and {x,z} meet at apex x
-                if get(x, y) == get(x, z):
-                    return False
-            else:
-                # D-edges {x,y} and {y,z} meet at apex y
-                if get(y, x) == get(y, z):
-                    return False
+        others = full ^ (1 << x | 1 << y)
+        # exactly one D-edge {x,y}: z must see x and y in opposite colors
+        if ~(nbr[x] ^ nbr[y]) & ~(adj[x] | adj[y]) & others:
+            return False
+        # D-edges {x,y} and {x,z} (not {y,z}) meet at apex x: phi{x,z} != phi{x,y}
+        same_x = nbr[x] if nbr[x] >> y & 1 else ~nbr[x]
+        if adj[x] & ~adj[y] & same_x & others:
+            return False
+        same_y = nbr[y] if nbr[y] >> x & 1 else ~nbr[y]
+        if adj[y] & ~adj[x] & same_y & others:
+            return False
     return True
 
 

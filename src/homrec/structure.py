@@ -20,9 +20,10 @@ from typing import Iterator, Optional
 from .coloring import (
     Coloring,
     EdgeSet,
+    bits_of,
     boolean_sum,
     h_equivalent,
-    hom_signature,
+    hom_triple_counts,
     pair_index,
     pairs_of,
 )
@@ -85,21 +86,12 @@ def degree(edges: EdgeSet, x: int) -> int:
     """Number of member edges incident to x."""
     if not 0 <= x < edges.n:
         raise PreconditionError(f"vertex {x} out of range for n={edges.n}")
-    count = 0
-    for i, (a, b) in enumerate(pairs_of(edges.n)):
-        if (edges.mask >> i) & 1 and (a == x or b == x):
-            count += 1
-    return count
+    return edges.adj[x].bit_count()
 
 
 def _adjacency(edges: EdgeSet) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {}
-    for x, y in edges.members():
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
-    for nbrs in adj.values():
-        nbrs.sort()
-    return adj
+    """Ascending neighbour lists of the vertices that meet an edge."""
+    return {x: list(bits_of(m)) for x, m in enumerate(edges.adj) if m}
 
 
 def components(edges: EdgeSet) -> list[Component]:
@@ -180,18 +172,10 @@ def hom_color_uniform(sigma: Coloring) -> Optional[int]:
     hypotheses are phrased as "all homogeneous sets have color 0", which
     holds vacuously.
     """
-    if sigma.n < 3:
-        raise TooSmallError(f"homogeneity needs n >= 3, got {sigma.n}")
-    saw = [False, False]
-    sig = hom_signature(sigma)
-    for k in sig.kinds:
-        if k:
-            saw[k - 1] = True
-            if saw[0] and saw[1]:
-                return None
-    if saw[1] and not saw[0]:
-        return 1
-    return 0
+    zeros, ones = hom_triple_counts(sigma)
+    if zeros and ones:
+        return None
+    return 1 if ones else 0
 
 
 # ---------------------------------------------------------------------------
@@ -222,22 +206,19 @@ def _chordless_paths(edges: EdgeSet) -> Iterator[tuple[int, ...]]:
     """
     adj = _adjacency(edges)
 
-    def extend(path: list[int], members: set[int]) -> Iterator[tuple[int, ...]]:
+    def extend(path: list[int], members: int) -> Iterator[tuple[int, ...]]:
+        last = 1 << path[-1]
         for w in adj[path[-1]]:
-            if w in members:
-                continue
-            if any((w, u) in edges for u in path[:-1]):
+            if members >> w & 1 or edges.adj[w] & members & ~last:
                 continue
             path.append(w)
-            members.add(w)
             if len(path) >= 3:
                 yield tuple(path)
-            yield from extend(path, members)
-            members.remove(w)
+            yield from extend(path, members | 1 << w)
             path.pop()
 
     for start in sorted(adj):
-        yield from extend([start], {start})
+        yield from extend([start], 1 << start)
 
 
 def check_parity_lemmas(phi: Coloring, psi: Coloring) -> ParityReport:

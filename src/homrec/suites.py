@@ -49,11 +49,11 @@ from .coloring import (
     pair_count,
     restrict,
 )
-from .critical import find_critical_pairs, flip_reconstruction
+from .critical import find_critical_pairs, flip_reconstruction, is_critical_pair
 from .errors import HomrecError
 from .fixtures import partition_coloring
 from .parallel import run_sharded, shard_ranges
-from .reconstruct import Verdict, component_restriction_valid, in_R
+from .reconstruct import Verdict, _reconstruction_masks, component_restriction_valid, in_R
 from .srcheck import alpha_coloring, theorem63_condition_c, verify_alpha
 from .structure import (
     ComponentKind,
@@ -181,22 +181,9 @@ def suite_oracle(
 
 
 def _valid_masks_by_phi(n: int, phis) -> list[tuple[int, list[int]]]:
-    """(phi, sorted valid difference masks) for each coloring, sharded."""
-    masks = kernels.all_masks(n)
-
-    def shard(chunk) -> list[tuple[int, list[int]]]:
-        out = []
-        for phi in chunk:
-            ok = kernels.valid_for_phi(n, phi, masks)
-            out.append((phi, masks[ok].tolist()))
-        return out
-
-    phis = list(phis)
-    chunks = [phis[r.start : r.stop] for r in shard_ranges(len(phis), 128)]
-    merged: list[tuple[int, list[int]]] = []
-    for part in run_sharded(shard, chunks):
-        merged.extend(part)
-    return merged
+    """(phi, its non-trivial valid difference masks in numeric order) for
+    each coloring, from the pair-class search."""
+    return [(phi, sorted(_reconstruction_masks(Coloring(n, phi)))) for phi in phis]
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +236,9 @@ def suite_parity(n: int = 5, max_m: int = 12) -> SuiteResult:
     scale = {"n": n, "max_m": max_m}
     failures: list[str] = []
     cases = 0
-    p = pair_count(n)
-    full = (1 << p) - 1
-
-    for phi_bits, valid in _valid_masks_by_phi(n, range(1 << p)):
+    for phi_bits, valid in _valid_masks_by_phi(n, range(1 << pair_count(n))):
         phi = Coloring(n, phi_bits)
         for d in valid:
-            if d in (0, full):
-                continue
             cases += 1
             report = check_parity_lemmas(phi, Coloring(n, phi_bits ^ d))
             if not report.ok and len(failures) < _MAX_FAILURES:
@@ -333,12 +315,9 @@ def suite_r_sweep(
 
     def sweep(n: int, phis) -> None:
         nonlocal cases
-        p = pair_count(n)
-        full = (1 << p) - 1
-        for phi_bits, valid in _valid_masks_by_phi(n, phis):
+        for phi_bits, nontrivial in _valid_masks_by_phi(n, phis):
             cases += 1
             phi = Coloring(n, phi_bits)
-            nontrivial = [d for d in valid if d not in (0, full)]
             has_pair = bool(find_critical_pairs(phi))
             if not nontrivial:
                 distribution["in_R"] = distribution.get("in_R", 0) + 1
@@ -394,13 +373,9 @@ def suite_connectivity(
 
     def examine(n: int, phis, max_size: Optional[int]) -> None:
         nonlocal cases, uniform_cases
-        p = pair_count(n)
-        full = (1 << p) - 1
         for phi_bits, valid in _valid_masks_by_phi(n, phis):
             phi = Coloring(n, phi_bits)
             for d in valid:
-                if d in (0, full):
-                    continue
                 if max_size is not None and d.bit_count() > max_size:
                     continue
                 cases += 1
@@ -432,23 +407,16 @@ def suite_connectivity(
                     pos = {v: i for i, v in enumerate(verts)}
                     sub = restrict(phi, verts)
                     for x, y in diff.within(verts).members():
-                        bsub = all(
-                            sub.get(pos[x], z) != sub.get(pos[y], z)
-                            for z in range(len(verts))
-                            if z not in (pos[x], pos[y])
-                        )
-                        if bsub and len(verts) >= 3:
-                            glob = all(
-                                phi.get(x, z) != phi.get(y, z)
-                                for z in range(n)
-                                if z not in (x, y)
+                        if (
+                            len(verts) >= 3
+                            and is_critical_pair(sub, (pos[x], pos[y]))
+                            and not is_critical_pair(phi, (x, y))
+                        ):
+                            _note(
+                                failures,
+                                f"n={n} phi={phi_bits:#x} D={d:#x}: "
+                                f"pair ({x},{y}) critical locally only",
                             )
-                            if not glob:
-                                _note(
-                                    failures,
-                                    f"n={n} phi={phi_bits:#x} D={d:#x}: "
-                                    f"pair ({x},{y}) critical locally only",
-                                )
 
     examine(n_exhaustive, range(1 << pair_count(n_exhaustive)), None)
     examine(n_sampled, _sample_masks(n_sampled, samples, seed), max_size_sampled)

@@ -3,12 +3,13 @@
 import json
 import random
 import sys
+import time
 
 import pytest
 
 from homrec import reconstruct
 from homrec.cli import _analysis, main
-from homrec.coloring import Coloring, pair_count
+from homrec.coloring import HOM_SETS_MAX, Coloring, pair_count
 from homrec.critical import find_critical_cycles, find_critical_pairs, witness_json
 from homrec.fixtures import partition_coloring, random_coloring
 from homrec.reconstruct import RValueReport, SearchMode, Verdict, in_R, r_value
@@ -322,3 +323,37 @@ def test_export_dot_rejects_n_above_the_structural_ceiling(tmp_path, capsys):
     src.write_text('{"n": 65, "ones": []}')
     code, stdout, err = run(capsys, "export-dot", str(src))
     assert code == 2 and stdout == "" and "n=65" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "export-dot"])
+def test_member_must_name_a_coloring_in_the_file(tmp_path, capsys, command):
+    single = tmp_path / "single.json"
+    run(capsys, "generate", "partition(6)", "--out", str(single))
+    pair = tmp_path / "pair.json"
+    payload = json.loads(run(capsys, "generate", "fig-homsum")[1])
+    del payload["sum"]
+    pair.write_text(json.dumps(payload))
+    for path, member, message in [
+        (pair, "sum", "has no member 'sum'"),
+        (pair, "bogus", "must be phi/psi/sum"),
+        (single, "psi", "--member psi needs a pair file"),
+        (single, "sum", "--member sum needs a pair file"),
+        (single, "bogus", "--member bogus needs a pair file"),
+    ]:
+        code, stdout, err = run(capsys, command, str(path), "--member", member)
+        assert code == 2 and stdout == "" and message in err
+    for path, member in [(pair, "phi"), (pair, "psi"), (single, "phi")]:
+        assert run(capsys, command, str(path), "--member", member)[0] == 0
+
+
+def test_analyze_stops_at_the_bound_on_maximal_hom_sets(tmp_path, capsys, fact_calls):
+    # color 1 between blocks of three: 3^14 maximal homogeneous sets at n = 42
+    src = tmp_path / "moon_moser.json"
+    ones = [[x, y] for y in range(42) for x in range(y) if x // 3 != y // 3]
+    src.write_text(json.dumps({"n": 42, "ones": ones}))
+    start = time.perf_counter()
+    code, stdout, err = run(capsys, "analyze", str(src), "--json")
+    assert code == 2 and stdout == ""
+    assert f"more than {HOM_SETS_MAX} maximal homogeneous sets" in err
+    assert time.perf_counter() - start < 30
+    assert fact_calls == dict.fromkeys(_FACTS, 0)  # refused before any scan

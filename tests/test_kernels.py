@@ -59,11 +59,6 @@ def test_unpack_masks_round_trip():
     assert back == masks
 
 
-def test_popcounts():
-    arr = np.array([0, 1, 3, (1 << 21) - 1], dtype=np.uint64)
-    assert kernels.popcounts(arr).tolist() == [0, 1, 2, 21]
-
-
 @given(st.integers(0, (1 << 10) - 1))
 @settings(max_examples=200)
 def test_claw_table_matches_scalar_search(mask):

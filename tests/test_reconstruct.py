@@ -251,9 +251,9 @@ def test_minimal_witnesses_are_connected(phi):
 
 @lru_cache(maxsize=None)
 def _space(n: int):
-    """All masks in size-then-colex order."""
-    masks = kernels.all_masks(n)
-    return masks[np.lexsort((masks, kernels.popcounts(masks)))]
+    """All masks in size-then-colex order (a stable sort by size keeps
+    the numeric order within one size)."""
+    return np.array(sorted(range(1 << pair_count(n)), key=int.bit_count), dtype=np.uint64)
 
 
 def _check_against_sweep(phi: Coloring) -> None:

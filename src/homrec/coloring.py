@@ -103,6 +103,14 @@ def triples(n: int) -> tuple[tuple[int, int, int], ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def triple_pairs(n: int) -> tuple[tuple[int, int, int], ...]:
+    """Per triple of ``triples(n)``, its pair indices ({x,y}, {x,z}, {y,z})."""
+    return tuple(
+        (pair_index(x, y), pair_index(x, z), pair_index(y, z)) for x, y, z in triples(n)
+    )
+
+
 def _norm_pair(pair: Sequence[int]) -> tuple[int, int]:
     x, y = pair
     if x == y:

@@ -12,15 +12,23 @@ colex index i).  The two routes that must agree everywhere:
   homogeneous-triple sets directly.
 
 These are kept as independent implementations on purpose.
+
+Callers: the oracle and claws suites, which sweep both routes with numpy,
+and ``coloring.h_equivalent``, which reads ``hom_projection_mask`` (plain
+ints).  The exhaustive search of ``reconstruct`` uses none of them.  The
+array kernels import numpy when they run, so importing this module leaves
+numpy unloaded.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .coloring import pair_count, pair_index, triple_pairs
 
-from .coloring import pair_count, pair_index, triple_count, triples
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "all_masks",
@@ -36,27 +44,17 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def triple_pair_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-triple pair indices (a, b, c) = ({x,y}, {x,z}, {y,z})."""
-    a = np.empty(triple_count(n), dtype=np.int64)
-    b = np.empty_like(a)
-    c = np.empty_like(a)
-    for t, (x, y, z) in enumerate(triples(n)):
-        a[t] = pair_index(x, y)
-        b[t] = pair_index(x, z)
-        c[t] = pair_index(y, z)
+    """Per-triple pair indices (a, b, c) = ({x,y}, {x,z}, {y,z}) as arrays."""
+    import numpy as np
+
+    a, b, c = np.array(triple_pairs(n), dtype=np.int64).reshape(-1, 3).T
     return a, b, c
-
-
-@lru_cache(maxsize=None)
-def _triple_pair_indices_py(n: int) -> tuple[tuple[int, int, int], ...]:
-    a, b, c = triple_pair_indices(n)
-    return tuple(zip(a.tolist(), b.tolist(), c.tolist()))
 
 
 def hom_projection_mask(n: int, bits: int) -> int:
     """Bitmask over triples: 1 where the triple is homogeneous."""
     out = 0
-    for t, (a, b, c) in enumerate(_triple_pair_indices_py(n)):
+    for t, (a, b, c) in enumerate(triple_pairs(n)):
         if (bits >> a) & 1 == (bits >> b) & 1 == (bits >> c) & 1:
             out |= 1 << t
     return out
@@ -64,6 +62,8 @@ def hom_projection_mask(n: int, bits: int) -> int:
 
 def unpack_masks(n: int, masks) -> np.ndarray:
     """(m, P) uint8 matrix of pair bits for a sequence of coloring masks."""
+    import numpy as np
+
     p = pair_count(n)
     nbytes = max(1, (p + 7) // 8)
     masks = [int(m) for m in masks]
@@ -99,7 +99,9 @@ def valid_for_phi(n: int, phi_bits: int, masks: np.ndarray) -> np.ndarray:
 
     ``masks`` must be an unsigned integer array wide enough for P bits.
     """
-    trip = _triple_pair_indices_py(n)
+    import numpy as np
+
+    trip = triple_pairs(n)
     ok = np.ones(masks.shape, dtype=bool)
     for a, b, c in trip:
         fa = (phi_bits >> a) & 1
@@ -123,6 +125,8 @@ def valid_for_phi(n: int, phi_bits: int, masks: np.ndarray) -> np.ndarray:
 
 def all_masks(n: int) -> np.ndarray:
     """All coloring/difference masks on n vertices as a uint64 array."""
+    import numpy as np
+
     p = pair_count(n)
     if p > 24:
         raise MemoryError(f"refusing to materialize 2^{p} masks")
@@ -132,12 +136,14 @@ def all_masks(n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def hom_projection_table(n: int) -> np.ndarray:
     """Homogeneous-triple projection for every coloring mask (n <= 7)."""
+    import numpy as np
+
     p = pair_count(n)
     if p > 21:
         raise MemoryError(f"projection table infeasible for n={n}")
     arr = np.arange(1 << p, dtype=np.uint64)
     table = np.zeros(1 << p, dtype=np.uint64)
-    for t, (a, b, c) in enumerate(_triple_pair_indices_py(n)):
+    for t, (a, b, c) in enumerate(triple_pairs(n)):
         fa = (arr >> np.uint64(a)) & np.uint64(1)
         fb = (arr >> np.uint64(b)) & np.uint64(1)
         fc = (arr >> np.uint64(c)) & np.uint64(1)
@@ -170,6 +176,8 @@ def _claw_patterns(n: int) -> tuple[tuple[int, int], ...]:
 
 def has_claw_mask(n: int, masks: np.ndarray) -> np.ndarray:
     """Whether each edge-set mask contains a claw (triangle + detached apex)."""
+    import numpy as np
+
     out = np.zeros(masks.shape, dtype=bool)
     for need, forbid in _claw_patterns(n):
         need64 = np.uint64(need)

@@ -18,11 +18,15 @@ exists iff phi has a non-trivial reconstruction.
 Every exhaustive question runs through one search.  A triple homogeneous
 for phi must meet a valid difference in zero or three pairs, so merging
 the pairs of each homogeneous triple (union-find) splits the pairs into
-classes and every valid difference is a union of classes.  The search
-expands each union of classes into a pair mask, tests the masks with the
-local criterion (``kernels.valid_for_phi``) and orders the valid ones by
-size, then colex.  It runs through n = 8 (28 pairs, so masks fit in
-uint64); above that only the structural scans apply.
+classes and every valid difference is a union of classes.  A
+non-homogeneous triple whose pairs a, b share a color and c has the
+other forbids exactly the unions that contain a and b but not c, or c
+but neither a nor b.  The search evaluates those constraints on all 2^k
+unions of k classes at once, bit-sliced on Python ints (bit u of class
+i's column is bit i of u), expands only the surviving unions into pair
+masks and orders them by size, then colex.  It runs through n = 8, where
+no coloring has more than 18 classes; above that only the structural
+scans apply.
 
 Membership takes the first witness among the critical pairs, the critical
 cycles and the search; r takes the search (exhaustive mode) or the scans
@@ -33,15 +37,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
-import numpy as np
-
-from . import kernels
-from .coloring import Coloring, EdgeSet, pair_count, pair_index, triples
+from .coloring import Coloring, EdgeSet, bits_of, pair_count, triple_pairs
 from .critical import CriticalCycleWitness, find_critical_cycles, find_critical_pairs
 from .errors import (
     BudgetError,
+    ConsistencyError,
     DimensionMismatchError,
     NotApplicableError,
     PreconditionError,
@@ -66,12 +69,14 @@ __all__ = [
     "r_value",
 ]
 
-# The exhaustive ceiling: 28 pairs, so every flip set fits in a uint64 mask.
+# The exhaustive ceiling.  Through n = 8 a coloring has at most 18 pair
+# classes, 2^18 unions for the search; above it auto mode reports the
+# structural scans, so raising the ceiling would change reports.
 EXHAUSTIVE_MAX_N = 8
 # The structural ceiling: one O(n^5) critical-cycle scan takes seconds at n = 60.
 STRUCTURAL_MAX_N = 64
-# Classes expanded per kernel call: at most 2^18 masks at a time.
-_BLOCK_CLASSES = 18
+# The most pair classes the search evaluates: the maximum over n <= 8.
+_MAX_CLASSES = 18
 
 
 class Verdict(Enum):
@@ -180,16 +185,32 @@ def _pair_classes(phi: Coloring) -> list[int]:
             i = parent[i]
         return i
 
-    for x, y, z in triples(phi.n):
-        if phi.get(x, y) == phi.get(x, z) == phi.get(y, z):
-            a = find(pair_index(x, y))
-            parent[find(pair_index(x, z))] = a
-            parent[find(pair_index(y, z))] = a
+    bits = phi.bits
+    for a, b, c in triple_pairs(phi.n):
+        if bits >> a & 1 == bits >> b & 1 == bits >> c & 1:
+            root = find(a)
+            parent[find(b)] = root
+            parent[find(c)] = root
     classes: dict[int, int] = {}
     for i in range(len(parent)):
         root = find(i)
         classes[root] = classes.get(root, 0) | 1 << i
     return list(classes.values())
+
+
+@lru_cache(maxsize=None)
+def _columns(k: int) -> tuple[int, ...]:
+    """Column i over the 2^k unions of k classes: bit u set iff bit i of u is."""
+    size = 1 << k
+    columns = []
+    for i in range(k):
+        span = 2 << i
+        column = ((1 << (1 << i)) - 1) << (1 << i)
+        while span < size:
+            column |= column << span
+            span <<= 1
+        columns.append(column)
+    return tuple(columns)
 
 
 def _reconstruction_masks(phi: Coloring) -> list[int]:
@@ -200,17 +221,35 @@ def _reconstruction_masks(phi: Coloring) -> list[int]:
             f"exhaustive search infeasible for n={phi.n} (ceiling n={EXHAUSTIVE_MAX_N})"
         )
     classes = _pair_classes(phi)
-    block = np.zeros(1, dtype=np.uint64)
-    for c in classes[:_BLOCK_CLASSES]:
-        block = np.concatenate((block, block | np.uint64(c)))
-    high = classes[_BLOCK_CLASSES:]
-    full = (1 << pair_count(phi.n)) - 1
+    k = len(classes)
+    if k > _MAX_CLASSES:
+        raise ConsistencyError(f"{k} pair classes at n={phi.n}, more than {_MAX_CLASSES}")
+    of_pair = {v: i for i, c in enumerate(classes) for v in bits_of(c)}
+    # each non-homogeneous triple as its classes (p, q, r): the classes of
+    # its two pairs of one color, then of its pair of the other
+    constraints = set()
+    bits = phi.bits
+    for a, b, c in triple_pairs(phi.n):
+        fa, fb, fc = bits >> a & 1, bits >> b & 1, bits >> c & 1
+        if fa == fb == fc:
+            continue
+        x, y, z = (a, b, c) if fa == fb else (a, c, b) if fa == fc else (b, c, a)
+        p, q = sorted((of_pair[x], of_pair[y]))
+        constraints.add((p, q, of_pair[z]))
+    # a union breaks the triple when it takes p and q alike and r otherwise
+    columns = _columns(k)
+    ok = (1 << (1 << k)) - 1
+    for p, q, r in constraints:
+        P, Q, R = columns[p], columns[q], columns[r]
+        ok &= ~(~(P ^ Q) & (P ^ R))
+    # expand the surviving unions, bar the empty one (0) and the full one
+    survivors = bin(ok)[:1:-1]
+    full = (1 << k) - 1
     found = []
-    for k in range(1 << len(high)):
-        offset = sum(c for i, c in enumerate(high) if k >> i & 1)
-        masks = block | np.uint64(offset)
-        ok = kernels.valid_for_phi(phi.n, phi.bits, masks)
-        found.extend(m for m in masks[ok].tolist() if m not in (0, full))
+    u = survivors.find("1", 1, full)
+    while u != -1:
+        found.append(sum(classes[i] for i in bits_of(u)))
+        u = survivors.find("1", u + 1, full)
     return sorted(found, key=lambda m: (m.bit_count(), m))
 
 

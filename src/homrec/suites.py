@@ -37,8 +37,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from . import kernels
 from .coloring import (
     Coloring,
@@ -49,11 +47,11 @@ from .coloring import (
     pair_count,
     restrict,
 )
-from .critical import find_critical_pairs, flip_reconstruction, is_critical_pair
-from .errors import HomrecError
+from .critical import find_critical_pairs, flip_reconstruction
+from .errors import ConsistencyError, HomrecError
 from .fixtures import partition_coloring
 from .parallel import run_sharded, shard_ranges
-from .reconstruct import Verdict, _reconstruction_masks, component_restriction_valid, in_R
+from .reconstruct import Verdict, _reconstruction_masks, in_R, is_valid_difference
 from .srcheck import alpha_coloring, theorem63_condition_c, verify_alpha
 from .structure import (
     ComponentKind,
@@ -116,6 +114,8 @@ def suite_oracle(
     samples: int = 10_000,
     seed: int = 9,
 ) -> SuiteResult:
+    import numpy as np
+
     scale = {
         "n_exhaustive": n_exhaustive,
         "random_ns": list(random_ns),
@@ -191,6 +191,8 @@ def _valid_masks_by_phi(n: int, phis) -> list[tuple[int, list[int]]]:
 
 
 def suite_claws(n: int = 5) -> SuiteResult:
+    import numpy as np
+
     scale = {"n": n}
     p = pair_count(n)
     full = (1 << p) - 1
@@ -375,11 +377,18 @@ def suite_connectivity(
         nonlocal cases, uniform_cases
         for phi_bits, valid in _valid_masks_by_phi(n, phis):
             phi = Coloring(n, phi_bits)
+            critical = set(find_critical_pairs(phi))
+            # critical pairs of phi restricted to a vertex set, in its positions
+            local_critical: dict[tuple[int, ...], set[tuple[int, int]]] = {}
             for d in valid:
                 if max_size is not None and d.bit_count() > max_size:
                     continue
                 cases += 1
                 diff = EdgeSet(n, d)
+                if not is_valid_difference(phi, diff):
+                    raise ConsistencyError(
+                        f"n={n} phi={phi_bits:#x}: the search returned invalid D={d:#x}"
+                    )
                 comps = components(diff)
                 if hom_color_uniform(diff.indicator()) == 0:
                     uniform_cases += 1
@@ -396,22 +405,21 @@ def suite_connectivity(
                             f"n={n} phi={phi_bits:#x} D={d:#x}: component {bad_kind[0].value}",
                         )
                 for comp in comps:
-                    if not component_restriction_valid(phi, diff, comp):
+                    if not is_valid_difference(phi, diff.within(comp.vertices)):
                         _note(
                             failures,
                             f"n={n} phi={phi_bits:#x} D={d:#x}: component restriction invalid",
                         )
                     # criticality is local: a difference edge critical on its
                     # component's restriction is critical globally
-                    verts = sorted(comp.vertices)
+                    verts = tuple(sorted(comp.vertices))
+                    if len(verts) < 3:
+                        continue
+                    if verts not in local_critical:
+                        local_critical[verts] = set(find_critical_pairs(restrict(phi, verts)))
                     pos = {v: i for i, v in enumerate(verts)}
-                    sub = restrict(phi, verts)
                     for x, y in diff.within(verts).members():
-                        if (
-                            len(verts) >= 3
-                            and is_critical_pair(sub, (pos[x], pos[y]))
-                            and not is_critical_pair(phi, (x, y))
-                        ):
+                        if (pos[x], pos[y]) in local_critical[verts] and (x, y) not in critical:
                             _note(
                                 failures,
                                 f"n={n} phi={phi_bits:#x} D={d:#x}: "

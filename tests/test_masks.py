@@ -309,3 +309,25 @@ def test_cli_import_leaves_networkx_out():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False\n"
+
+
+def test_commands_leave_numpy_out(tmp_path):
+    """generate, analyze (auto and exhaustive, n = 8) and export-dot run
+    without loading numpy; only the oracle and claws suites sweep with it."""
+    code = """
+import sys, homrec.cli
+path, out = sys.argv[1:]
+for argv in (
+    ["generate", "partition(8)", "--out", path],
+    ["analyze", path, "--json", "--out", out],
+    ["analyze", path, "--json", "--mode", "exhaustive", "--out", out],
+    ["export-dot", path, "--out", out],
+):
+    assert homrec.cli.main(argv) == 0, argv
+print("numpy" in sys.modules)
+"""
+    argv = [sys.executable, "-c", code, str(tmp_path / "p8.json"), str(tmp_path / "out")]
+    env = {"PYTHONPATH": str(Path(homrec.__file__).parents[1])}
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

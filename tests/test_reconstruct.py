@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homrec import kernels
+from homrec import kernels, reconstruct
 from homrec.coloring import (
     Coloring,
     EdgeSet,
@@ -16,18 +16,22 @@ from homrec.coloring import (
     h_equivalent,
     iter_subsets_colex,
     pair_count,
+    pair_index,
 )
 from homrec.critical import find_critical_cycles, find_critical_pairs
 from homrec.errors import (
     BudgetError,
+    ConsistencyError,
     DimensionMismatchError,
     NotApplicableError,
     PreconditionError,
 )
-from homrec.fixtures import fig_critical_cycle
+from homrec.fixtures import fig_critical_cycle, fig_two_cycles, partition_coloring
 from homrec.reconstruct import (
     SearchMode,
     Verdict,
+    _pair_classes,
+    _reconstruction_masks,
     component_restriction_valid,
     enumerate_reconstructions,
     in_R,
@@ -325,3 +329,83 @@ def test_search_at_n8(phi):
             assert hits == []
         else:
             assert hits == [w.difference.mask for w in report.witnesses]
+
+
+# ---------------------------------------------------------------------------
+# the bit-sliced search against the retired class-union expansion
+
+
+def _expanded_masks(phi: Coloring) -> list[int]:
+    """The search as it was: expand every union of pair classes into a
+    uint64 pair mask and test them all with ``kernels.valid_for_phi``."""
+    block = np.zeros(1, dtype=np.uint64)
+    for c in _pair_classes(phi):
+        block = np.concatenate((block, block | np.uint64(c)))
+    full = (1 << pair_count(phi.n)) - 1
+    ok = kernels.valid_for_phi(phi.n, phi.bits, block)
+    found = [m for m in block[ok].tolist() if m not in (0, full)]
+    return sorted(found, key=lambda m: (m.bit_count(), m))
+
+
+def test_bit_sliced_search_matches_expansion_at_n6():
+    # phi and its complement carry the same constraints (checked below),
+    # so the colorings with pair 0 colored 0 cover every n = 6 coloring
+    for bits in range(0, 1 << pair_count(6), 2):
+        phi = Coloring(6, bits)
+        assert _reconstruction_masks(phi) == _expanded_masks(phi), hex(bits)
+
+
+def _eighteen_classes() -> Coloring:
+    """An extension of an atlas 7-vertex graph with 18 pair classes."""
+    return Coloring(8, 0xD4AC625)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        partition_coloring(8),
+        fig_two_cycles(),
+        _eighteen_classes(),
+        *(Coloring(7, random.Random(70 + s).getrandbits(21)) for s in range(40)),
+        *(Coloring(8, random.Random(80 + s).getrandbits(28)) for s in range(40)),
+    ],
+)
+def test_bit_sliced_search_matches_expansion(phi):
+    assert _reconstruction_masks(phi) == _expanded_masks(phi)
+
+
+def test_search_is_complement_symmetric():
+    for n in (4, 5, 6, 7, 8):
+        rng = random.Random(100 + n)
+        for _ in range(50):
+            phi = Coloring(n, rng.getrandbits(pair_count(n)))
+            assert _reconstruction_masks(phi) == _reconstruction_masks(phi.complement())
+
+
+def test_eighteen_classes_is_the_n8_maximum():
+    """Every 8-vertex graph, up to isomorphism, extends one of the atlas's
+    7-vertex graphs by an eighth vertex, so 1044 * 2^7 colorings cover n = 8."""
+    import networkx as nx
+
+    counts: dict[int, int] = {}
+    for graph in nx.graph_atlas_g():
+        if graph.number_of_nodes() != 7:
+            continue
+        base = sum(1 << pair_index(min(e), max(e)) for e in graph.edges())
+        for joined in range(1 << 7):
+            k = len(_pair_classes(Coloring(8, base | joined << pair_count(7))))
+            counts[k] = counts.get(k, 0) + 1
+    assert sum(counts.values()) == 1044 << 7
+    assert max(counts) == reconstruct._MAX_CLASSES == 18
+    assert counts[18] == 28
+    for phi in (partition_coloring(8), _eighteen_classes()):
+        assert len(_pair_classes(phi)) == 18
+
+
+def test_search_refuses_more_classes_than_its_ceiling(monkeypatch):
+    monkeypatch.setattr(reconstruct, "_MAX_CLASSES", 17)
+    with pytest.raises(ConsistencyError, match="18 pair classes at n=8, more than 17"):
+        _reconstruction_masks(partition_coloring(8))
+    phi = partition_coloring(7)
+    assert len(_pair_classes(phi)) <= 17
+    assert _reconstruction_masks(phi) == _expanded_masks(phi)

@@ -1,54 +1,56 @@
-"""Vectorized bit kernels for exhaustive and sampled sweeps.
+"""Bit-sliced batch kernels for exhaustive and sampled sweeps.
 
 Colorings and difference sets are plain integers here (bit i = pair with
-colex index i).  The two routes that must agree everywhere:
+colex index i).  A batch of them is held as its columns: column i is an
+int whose bit j is pair i of the j-th mask, so one int operation decides
+a pair or a triple for the whole batch.  ``all_masks(n)`` is the batch of
+every mask on n vertices (entry j is the mask j), ``columns_of``
+transposes any list of masks, and a single coloring faces a batch as its
+constant columns (0 or the batch's full mask per pair).  Past the end of
+a batch every column reads 0, so a verdict or homogeneity column there
+describes the all-zero entry and can be a negative int; callers AND with
+the batch's full mask.
 
-* the local triple criterion (``valid_for_phi`` / ``local_valid_rows``):
-  a flip set D is admissible iff every triple carrying exactly one D-edge
-  sees the other two pairs in opposite colors, and every triple carrying
-  two D-edges meeting at an apex sees the apex's two pairs in opposite
-  colors; triples with zero or three D-edges are unconstrained;
-* the signature route (``hom_projection_*``): flip D and compare the
-  homogeneous-triple sets directly.
+The two routes that must agree everywhere, each with one batch form and
+one scalar reference:
+
+* the local triple criterion (``valid_for_phi``; scalar
+  ``reconstruct.is_valid_difference``): a flip set D is admissible iff
+  every triple carrying exactly one D-edge sees the other two pairs in
+  opposite colors, and every triple carrying two D-edges meeting at an
+  apex sees the apex's two pairs in opposite colors; triples with zero
+  or three D-edges are unconstrained;
+* the signature route (``hom_projection_rows`` and its cached
+  ``hom_projection_table``; scalar ``hom_projection_mask``): flip D and
+  compare the homogeneous-triple sets directly.
 
 These are kept as independent implementations on purpose.
 
-Callers: the oracle and claws suites, which sweep both routes with numpy,
-and ``coloring.h_equivalent``, which reads ``hom_projection_mask`` (plain
-ints).  The exhaustive search of ``reconstruct`` uses none of them.  The
-array kernels import numpy when they run, so importing this module leaves
-numpy unloaded.
+Callers: the oracle and claws suites, which sweep both batch routes,
+``coloring.h_equivalent``, which reads ``hom_projection_mask``, and the
+pair-class search of ``reconstruct``, whose union columns are
+``index_columns``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from itertools import combinations
+from typing import Sequence
 
 from .coloring import pair_count, pair_index, triple_pairs
 
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = [
     "all_masks",
+    "columns_of",
+    "constant_columns",
     "has_claw_mask",
     "hom_projection_mask",
     "hom_projection_rows",
     "hom_projection_table",
-    "local_valid_rows",
-    "unpack_masks",
+    "index_columns",
     "valid_for_phi",
 ]
-
-
-@lru_cache(maxsize=None)
-def triple_pair_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-triple pair indices (a, b, c) = ({x,y}, {x,z}, {y,z}) as arrays."""
-    import numpy as np
-
-    a, b, c = np.array(triple_pairs(n), dtype=np.int64).reshape(-1, 3).T
-    return a, b, c
 
 
 def hom_projection_mask(n: int, bits: int) -> int:
@@ -60,127 +62,102 @@ def hom_projection_mask(n: int, bits: int) -> int:
     return out
 
 
-def unpack_masks(n: int, masks) -> np.ndarray:
-    """(m, P) uint8 matrix of pair bits for a sequence of coloring masks."""
-    import numpy as np
-
-    p = pair_count(n)
-    nbytes = max(1, (p + 7) // 8)
-    masks = [int(m) for m in masks]
-    buf = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    arr = np.frombuffer(buf, dtype=np.uint8).reshape(len(masks), nbytes)
-    return np.unpackbits(arr, axis=1, bitorder="little")[:, :p]
-
-
-def hom_projection_rows(n: int, bit_rows: np.ndarray) -> np.ndarray:
-    """(m, T) bool matrix: triple homogeneity per row of pair bits."""
-    a, b, c = triple_pair_indices(n)
-    fa = bit_rows[:, a]
-    fb = bit_rows[:, b]
-    fc = bit_rows[:, c]
-    return (fa == fb) & (fb == fc)
+@lru_cache(maxsize=None)
+def index_columns(k: int) -> tuple[int, ...]:
+    """The k columns of the batch of all 2^k masks of k bits, mask u as
+    entry u: bit u of column i is bit i of u."""
+    size = 1 << k
+    columns = []
+    for i in range(k):
+        span = 2 << i
+        column = ((1 << (1 << i)) - 1) << (1 << i)
+        while span < size:
+            column |= column << span
+            span <<= 1
+        columns.append(column)
+    return tuple(columns)
 
 
-def local_valid_rows(n: int, phi_rows: np.ndarray, d_rows: np.ndarray) -> np.ndarray:
-    """Local-criterion verdicts for paired rows of phi bits and D bits."""
-    a, b, c = triple_pair_indices(n)
-    fa, fb, fc = phi_rows[:, a], phi_rows[:, b], phi_rows[:, c]
-    da, db, dc = d_rows[:, a], d_rows[:, b], d_rows[:, c]
-    fail = (
-        ((da == db) & (dc != da) & (fa == fb))
-        | ((da == dc) & (db != da) & (fa == fc))
-        | ((db == dc) & (da != db) & (fb == fc))
-    )
-    return ~fail.any(axis=1)
-
-
-def valid_for_phi(n: int, phi_bits: int, masks: np.ndarray) -> np.ndarray:
-    """Local-criterion verdicts for one coloring against an array of D masks.
-
-    ``masks`` must be an unsigned integer array wide enough for P bits.
-    """
-    import numpy as np
-
-    trip = triple_pairs(n)
-    ok = np.ones(masks.shape, dtype=bool)
-    for a, b, c in trip:
-        fa = (phi_bits >> a) & 1
-        fb = (phi_bits >> b) & 1
-        fc = (phi_bits >> c) & 1
-        da = ((masks >> np.uint64(a)) & np.uint64(1)).astype(np.uint8)
-        db = ((masks >> np.uint64(b)) & np.uint64(1)).astype(np.uint8)
-        dc = ((masks >> np.uint64(c)) & np.uint64(1)).astype(np.uint8)
-        if fa == fb == fc:
-            # homogeneous triple: any 1- or 2-edge intersection with D breaks it
-            bad = ~((da == db) & (db == dc))
-        elif fa == fb:
-            bad = (da == db) & (dc != da)
-        elif fa == fc:
-            bad = (da == dc) & (db != da)
-        else:
-            bad = (db == dc) & (da != db)
-        ok &= ~bad
-    return ok
-
-
-def all_masks(n: int) -> np.ndarray:
-    """All coloring/difference masks on n vertices as a uint64 array."""
-    import numpy as np
-
+def all_masks(n: int) -> tuple[int, ...]:
+    """The P columns of the batch of every coloring/difference mask on n
+    vertices, entry j being the mask j."""
     p = pair_count(n)
     if p > 24:
         raise MemoryError(f"refusing to materialize 2^{p} masks")
-    return np.arange(1 << p, dtype=np.uint64)
+    return index_columns(p)
+
+
+def columns_of(n: int, masks: Sequence[int]) -> tuple[int, ...]:
+    """The P columns of a batch of pair masks, entry j being ``masks[j]``."""
+    p = pair_count(n)
+    if not masks:
+        return (0,) * p
+    # one binary string per mask, highest pair first; reading them last
+    # mask first down one position gives that pair's column, top bit first
+    rows = [format(m, f"0{p}b") for m in reversed(masks)]
+    return tuple(int("".join(column), 2) for column in zip(*rows))[::-1]
+
+
+def constant_columns(n: int, bits: int, full: int) -> tuple[int, ...]:
+    """One coloring repeated over a batch whose full mask is ``full``."""
+    return tuple(full if bits >> i & 1 else 0 for i in range(pair_count(n)))
+
+
+def hom_projection_rows(n: int, columns: Sequence[int]) -> tuple[int, ...]:
+    """Per triple, its homogeneity over a batch: bit j is set iff the
+    triple is homogeneous for entry j."""
+    return tuple(
+        ~((columns[a] ^ columns[b]) | (columns[a] ^ columns[c]))
+        for a, b, c in triple_pairs(n)
+    )
+
+
+def valid_for_phi(n: int, phi: Sequence[int], masks: Sequence[int]) -> int:
+    """Local-criterion verdicts for a batch of (phi, D) entries given as
+    paired columns: bit j is set iff D_j is a valid difference of phi_j."""
+    fail = 0
+    for a, b, c in triple_pairs(n):
+        xab, xac = masks[a] ^ masks[b], masks[a] ^ masks[c]
+        # where D meets the triple in one or two pairs, exactly one pair
+        # is the odd one out, and phi must color the other two apart
+        apart = (
+            (xab | (phi[a] ^ phi[b]))
+            & (xac | (phi[a] ^ phi[c]))
+            & ((xab ^ xac) | (phi[b] ^ phi[c]))
+        )
+        fail |= (xab | xac) & ~apart
+    return ~fail
 
 
 @lru_cache(maxsize=None)
-def hom_projection_table(n: int) -> np.ndarray:
-    """Homogeneous-triple projection for every coloring mask (n <= 7)."""
-    import numpy as np
-
+def hom_projection_table(n: int) -> tuple[int, ...]:
+    """``hom_projection_rows`` of ``all_masks(n)``: per triple, the
+    colorings that make it homogeneous (n <= 7)."""
     p = pair_count(n)
     if p > 21:
         raise MemoryError(f"projection table infeasible for n={n}")
-    arr = np.arange(1 << p, dtype=np.uint64)
-    table = np.zeros(1 << p, dtype=np.uint64)
-    for t, (a, b, c) in enumerate(triple_pairs(n)):
-        fa = (arr >> np.uint64(a)) & np.uint64(1)
-        fb = (arr >> np.uint64(b)) & np.uint64(1)
-        fc = (arr >> np.uint64(c)) & np.uint64(1)
-        hom = (fa == fb) & (fb == fc)
-        table |= hom.astype(np.uint64) << np.uint64(t)
-    return table
+    full = (1 << (1 << p)) - 1
+    return tuple(row & full for row in hom_projection_rows(n, all_masks(n)))
 
 
 @lru_cache(maxsize=None)
-def _claw_patterns(n: int) -> tuple[tuple[int, int], ...]:
-    """(need, forbid) pair-bit masks for every leaves+apex choice."""
-    from itertools import combinations
-
+def _claw_patterns(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per leaves+apex choice, the pair indices of the leaves' triangle
+    followed by those of the apex's three pairs to the leaves."""
     patterns = []
     for quad in combinations(range(n), 4):
         for apex in quad:
             leaves = [v for v in quad if v != apex]
-            need = 0
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    x, y = sorted((leaves[i], leaves[j]))
-                    need |= 1 << pair_index(x, y)
-            forbid = 0
-            for v in leaves:
-                x, y = sorted((apex, v))
-                forbid |= 1 << pair_index(x, y)
-            patterns.append((need, forbid))
+            need = [pair_index(x, y) for x, y in combinations(leaves, 2)]
+            forbid = [pair_index(*sorted((apex, v))) for v in leaves]
+            patterns.append((*need, *forbid))
     return tuple(patterns)
 
 
-def has_claw_mask(n: int, masks: np.ndarray) -> np.ndarray:
-    """Whether each edge-set mask contains a claw (triangle + detached apex)."""
-    import numpy as np
-
-    out = np.zeros(masks.shape, dtype=bool)
-    for need, forbid in _claw_patterns(n):
-        need64 = np.uint64(need)
-        forbid64 = np.uint64(forbid)
-        out |= ((masks & need64) == need64) & ((masks & forbid64) == np.uint64(0))
+def has_claw_mask(n: int, columns: Sequence[int]) -> int:
+    """Bit j is set iff edge set j of the batch contains a claw (a
+    triangle plus a vertex joined to none of it)."""
+    out = 0
+    for a, b, c, x, y, z in _claw_patterns(n):
+        out |= columns[a] & columns[b] & columns[c] & ~(columns[x] | columns[y] | columns[z])
     return out

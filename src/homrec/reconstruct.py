@@ -23,10 +23,10 @@ non-homogeneous triple whose pairs a, b share a color and c has the
 other forbids exactly the unions that contain a and b but not c, or c
 but neither a nor b.  The search evaluates those constraints on all 2^k
 unions of k classes at once, bit-sliced on Python ints (bit u of class
-i's column is bit i of u), expands only the surviving unions into pair
-masks and orders them by size, then colex.  It runs through n = 8, where
-no coloring has more than 18 classes; above that only the structural
-scans apply.
+i's column is bit i of u: ``kernels.index_columns``), expands only the
+surviving unions into pair masks and orders them by size, then colex.
+It runs through n = 8, where no coloring has more than 18 classes; above
+that only the structural scans apply.
 
 Membership takes the first witness among the critical pairs, the critical
 cycles and the search; r takes the search (exhaustive mode) or the scans
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Iterator, NamedTuple, Optional
 
 from .coloring import Coloring, EdgeSet, bits_of, pair_count, triple_pairs
@@ -50,6 +49,7 @@ from .errors import (
     PreconditionError,
     TooSmallError,
 )
+from .kernels import index_columns
 from .structure import Component, components
 
 __all__ = [
@@ -198,21 +198,6 @@ def _pair_classes(phi: Coloring) -> list[int]:
     return list(classes.values())
 
 
-@lru_cache(maxsize=None)
-def _columns(k: int) -> tuple[int, ...]:
-    """Column i over the 2^k unions of k classes: bit u set iff bit i of u is."""
-    size = 1 << k
-    columns = []
-    for i in range(k):
-        span = 2 << i
-        column = ((1 << (1 << i)) - 1) << (1 << i)
-        while span < size:
-            column |= column << span
-            span <<= 1
-        columns.append(column)
-    return tuple(columns)
-
-
 def _reconstruction_masks(phi: Coloring) -> list[int]:
     """Every non-trivial valid difference of phi as a mask, in
     size-then-colex order (colex is numeric order within one size)."""
@@ -237,7 +222,7 @@ def _reconstruction_masks(phi: Coloring) -> list[int]:
         p, q = sorted((of_pair[x], of_pair[y]))
         constraints.add((p, q, of_pair[z]))
     # a union breaks the triple when it takes p and q alike and r otherwise
-    columns = _columns(k)
+    columns = index_columns(k)
     ok = (1 << (1 << k)) - 1
     for p, q, r in constraints:
         P, Q, R = columns[p], columns[q], columns[r]

@@ -314,6 +314,12 @@ def _class_color(phi: Coloring, verts: tuple[int, ...]) -> Optional[int]:
 # canonical component pairs
 
 
+def _check_bits(**values: int) -> None:
+    for name, value in values.items():
+        if value not in (0, 1):
+            raise PreconditionError(f"{name} must be 0 or 1, got {value}")
+
+
 def make_path_pair(m: int, c: int, phase: int) -> tuple[Coloring, Coloring]:
     """An H-equivalent pair whose difference is the path 0-1-...-(m-1).
 
@@ -323,6 +329,7 @@ def make_path_pair(m: int, c: int, phase: int) -> tuple[Coloring, Coloring]:
     """
     if m < 4:
         raise TooSmallError(f"path pair needs m >= 4, got {m}")
+    _check_bits(c=c, phase=phase)
     bits = 0
     for y in range(m):
         for x in range(y):
@@ -347,6 +354,7 @@ def make_cycle_pair(m: int, c: int, phase: int) -> tuple[Coloring, Coloring]:
     difference of the pair is the full cycle.  m must be even, >= 6."""
     if m % 2 or m < 6:
         raise InvalidLengthError(f"cycle pair needs even m >= 6, got {m}")
+    _check_bits(c=c, phase=phase)
     bits = 0
     for y in range(m):
         for x in range(y):

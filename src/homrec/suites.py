@@ -3,7 +3,10 @@
 Each suite checks one family of structural laws at a configurable scale
 and returns a :class:`SuiteResult` whose serialized form is deterministic:
 independent of thread count and identical across runs with the same seed.
-Failures carry the first counterexample found in scan order.
+Failures carry the first counterexample found in scan order.  The oracle
+and claws suites sweep the bit-sliced batch kernels of ``kernels`` (one
+int per pair, one bit per case); the others read the pair-class search
+of ``reconstruct`` or the scalar checks.
 
 Suites:
 
@@ -35,12 +38,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 from . import kernels
 from .coloring import (
     Coloring,
     EdgeSet,
+    bits_of,
     difference,
     h_equivalent,
     hom_sets,
@@ -114,8 +119,6 @@ def suite_oracle(
     samples: int = 10_000,
     seed: int = 9,
 ) -> SuiteResult:
-    import numpy as np
-
     scale = {
         "n_exhaustive": n_exhaustive,
         "random_ns": list(random_ns),
@@ -125,8 +128,11 @@ def suite_oracle(
     failures: list[str] = []
     cases = 0
 
-    # exhaustive cross: every coloring against every difference set
+    # exhaustive cross: every coloring against every difference set.  The
+    # batch entry psi stands for D = phi ^ psi, so the signature side reads
+    # the table: psi matches phi where every triple's homogeneity does.
     p = pair_count(n_exhaustive)
+    full = (1 << (1 << p)) - 1
     masks = kernels.all_masks(n_exhaustive)
     table = kernels.hom_projection_table(n_exhaustive)
 
@@ -134,12 +140,20 @@ def suite_oracle(
         bad: list[str] = []
         mism = 0
         for phi in rng:
-            local = kernels.valid_for_phi(n_exhaustive, phi, masks)
-            sig = table[np.bitwise_xor(masks, np.uint64(phi))] == table[phi]
-            diff = local != sig
-            if diff.any():
-                mism += int(diff.sum())
-                d = int(masks[diff][0])
+            phi_cols = kernels.constant_columns(n_exhaustive, phi, full)
+            diffs = [m ^ f for m, f in zip(masks, phi_cols)]
+            local = kernels.valid_for_phi(n_exhaustive, phi_cols, diffs)
+            sig = full
+            for hom in table:
+                sig &= hom if hom >> phi & 1 else ~hom
+            diff = (local ^ sig) & full
+            if diff:
+                mism += diff.bit_count()
+                # the least D: from the top pair down, keep D's bit 0
+                # (psi's bit equal to phi's) wherever an entry allows it
+                for d_col in reversed(diffs):
+                    diff = diff & ~d_col or diff
+                d = phi ^ (diff.bit_length() - 1)
                 bad.append(f"n={n_exhaustive} phi={phi:#x} D={d:#x}")
         return mism, bad
 
@@ -154,18 +168,19 @@ def suite_oracle(
     for n in random_ns:
         phis = _sample_masks(n, samples, seed)
         ds = _sample_masks(n, samples, seed + 1)
-        phi_rows = kernels.unpack_masks(n, phis)
-        d_rows = kernels.unpack_masks(n, ds)
-        local = kernels.local_valid_rows(n, phi_rows, d_rows)
-        psi_rows = phi_rows ^ d_rows
-        sig = (
-            kernels.hom_projection_rows(n, phi_rows)
-            == kernels.hom_projection_rows(n, psi_rows)
-        ).all(axis=1)
-        diff = local != sig
-        if diff.any():
-            i = int(np.nonzero(diff)[0][0])
-            mismatches += int(diff.sum())
+        phi_cols = kernels.columns_of(n, phis)
+        d_cols = kernels.columns_of(n, ds)
+        local = kernels.valid_for_phi(n, phi_cols, d_cols)
+        psi_cols = [f ^ d for f, d in zip(phi_cols, d_cols)]
+        sig = -1
+        for a, b in zip(
+            kernels.hom_projection_rows(n, phi_cols), kernels.hom_projection_rows(n, psi_cols)
+        ):
+            sig &= ~(a ^ b)
+        diff = (local ^ sig) & ((1 << samples) - 1)
+        if diff:
+            i = (diff & -diff).bit_length() - 1
+            mismatches += diff.bit_count()
             failures.append(f"n={n} phi={phis[i]:#x} D={ds[i]:#x}")
         random_cases[str(n)] = samples
         cases += samples
@@ -191,41 +206,34 @@ def _valid_masks_by_phi(n: int, phis) -> list[tuple[int, list[int]]]:
 
 
 def suite_claws(n: int = 5) -> SuiteResult:
-    import numpy as np
-
     scale = {"n": n}
     p = pair_count(n)
-    full = (1 << p) - 1
-    pair_counts = 0
-    valid_union = np.zeros(1 << p, dtype=bool)
+    full = (1 << (1 << p)) - 1
     masks = kernels.all_masks(n)
 
-    def shard(rng: range) -> tuple[int, np.ndarray]:
-        seen = np.zeros(1 << p, dtype=bool)
-        count = 0
+    def shard(rng: range) -> tuple[int, int]:
+        seen = count = 0
         for phi in rng:
-            ok = kernels.valid_for_phi(n, phi, masks)
+            ok = kernels.valid_for_phi(n, kernels.constant_columns(n, phi, full), masks) & full
             seen |= ok
-            count += int(ok.sum())
+            count += ok.bit_count()
         return count, seen
 
+    pair_counts = valid_union = 0
     for count, seen in run_sharded(shard, shard_ranges(1 << p, 128)):
         pair_counts += count
         valid_union |= seen
 
-    candidates = masks[valid_union]
-    clawed = kernels.has_claw_mask(n, candidates) | kernels.has_claw_mask(
-        n, candidates ^ np.uint64(full)
+    clawed = valid_union & (
+        kernels.has_claw_mask(n, masks) | kernels.has_claw_mask(n, [full ^ m for m in masks])
     )
-    failures = [
-        f"n={n} D={int(d):#x} contains a claw" for d in candidates[clawed][:_MAX_FAILURES]
-    ]
+    failures = [f"n={n} D={d:#x} contains a claw" for d in islice(bits_of(clawed), _MAX_FAILURES)]
     return SuiteResult(
         "claws",
-        not clawed.any(),
+        not clawed,
         pair_counts,
         scale,
-        {"distinct_valid_differences": int(valid_union.sum())},
+        {"distinct_valid_differences": valid_union.bit_count()},
         failures,
     )
 

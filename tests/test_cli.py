@@ -9,10 +9,17 @@ import pytest
 
 from homrec import reconstruct
 from homrec.cli import _analysis, main
-from homrec.coloring import HOM_SETS_MAX, Coloring, pair_count
+from homrec.coloring import HOM_SETS_MAX, Coloring, EdgeSet, pair_count
 from homrec.critical import find_critical_cycles, find_critical_pairs, witness_json
 from homrec.fixtures import partition_coloring, random_coloring
-from homrec.reconstruct import RValueReport, SearchMode, Verdict, in_R, r_value
+from homrec.reconstruct import (
+    RValueReport,
+    SearchMode,
+    Verdict,
+    in_R,
+    is_valid_difference,
+    r_value,
+)
 
 
 def run(capsys, *argv):
@@ -46,6 +53,19 @@ def test_generate_pair_fixture_payload(tmp_path, capsys):
     psi = Coloring.from_json(payload["psi"])
     total = Coloring.from_json(payload["sum"])
     assert (phi.bits ^ psi.bits) == total.bits
+
+
+@pytest.mark.parametrize(
+    "fixture, message",
+    [
+        ("path-pair(6,2,0)", "c must be 0 or 1, got 2"),
+        ("path-pair(6,0,5)", "phase must be 0 or 1, got 5"),
+        ("cycle-pair(6,-1,0)", "c must be 0 or 1, got -1"),
+    ],
+)
+def test_generate_pair_rejects_colors_other_than_0_and_1(capsys, fixture, message):
+    code, stdout, err = run(capsys, "generate", fixture)
+    assert code == 2 and stdout == "" and message in err
 
 
 def test_generate_unknown_fixture_exits_2(capsys):
@@ -298,6 +318,36 @@ def test_verify_pass_and_json(capsys):
     assert code == 0
     payload = json.loads(stdout)
     assert payload["ok"] is True and payload["suite"] == "alpha"
+
+
+@pytest.mark.parametrize(
+    "argv, cases, random_cases",
+    [
+        (("--samples", "0"), 1 << 20, {"6": 0, "7": 0, "8": 0, "9": 0}),
+        (("--n", "3", "--samples", "1"), (1 << 6) + 4, {"6": 1, "7": 1, "8": 1, "9": 1}),
+    ],
+)
+def test_verify_oracle_on_empty_and_small_batches(capsys, argv, cases, random_cases):
+    code, stdout, _ = run(capsys, "verify", "oracle", *argv, "--json")
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["ok"] is True and payload["cases"] == cases
+    assert payload["stats"] == {"mismatches": 0, "random_cases": random_cases}
+
+
+def test_verify_claws_at_n4_counts_every_valid_pair(capsys):
+    code, stdout, _ = run(capsys, "verify", "claws", "--n", "4", "--json")
+    assert code == 0
+    payload = json.loads(stdout)
+    everything = range(1 << pair_count(4))
+    valid = [
+        (phi, d)
+        for phi in everything
+        for d in everything
+        if is_valid_difference(Coloring(4, phi), EdgeSet(4, d))
+    ]
+    assert payload["ok"] is True and payload["cases"] == len(valid)
+    assert payload["stats"] == {"distinct_valid_differences": len({d for _, d in valid})}
 
 
 def test_verify_unknown_suite_usage_error(capsys):

@@ -1,6 +1,5 @@
 """Core coloring machinery: indexing, sums, restriction, homogeneity."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -239,28 +238,32 @@ def test_h_equivalent_validations():
         h_equivalent(Coloring.zero(2), Coloring.zero(2))
 
 
+def _check_sums(n: int) -> None:
+    # per triple t, column bit D: t homogeneous for D (table), for phi ^ D
+    # (sums); a constant per triple: t homogeneous for phi
+    table = kernels.hom_projection_table(n)
+    full = (1 << (1 << pair_count(n))) - 1
+    masks = kernels.all_masks(n)
+    for phi in range(1 << pair_count(n)):
+        flipped = [m ^ f for m, f in zip(masks, kernels.constant_columns(n, phi, full))]
+        sums = kernels.hom_projection_rows(n, flipped)
+        at_phi = [full if row >> phi & 1 else 0 for row in table]
+        equiv = either_absorbed = full
+        for row, total, mine in zip(table, sums, at_phi):
+            assert (mine & row) & ~total == 0
+            equiv &= ~(row ^ mine)
+            either_absorbed &= ~((mine | row) & ~total)
+        assert equiv == either_absorbed
+
+
 def test_sum_preserves_shared_homogeneous_triples_exhaustive_n4():
     # triples homogeneous for both colorings stay homogeneous for the sum;
     # H-equivalence holds exactly when the sum absorbs both hom families
-    table = kernels.hom_projection_table(4)
-    masks = kernels.all_masks(4)
-    for phi in range(1 << 6):
-        sums = table[np.bitwise_xor(masks, np.uint64(phi))]
-        both = table[phi] & table
-        assert not np.any(both & ~sums)
-        equiv = table == table[phi]
-        either = table[phi] | table
-        assert np.array_equal(equiv, (either & ~sums) == 0)
+    _check_sums(4)
 
 
 def test_sum_preserves_shared_homogeneous_triples_exhaustive_n5():
-    table = kernels.hom_projection_table(5)
-    masks = kernels.all_masks(5)
-    for phi in range(1 << 10):
-        sums = table[np.bitwise_xor(masks, np.uint64(phi))]
-        assert not np.any((table[phi] & table) & ~sums)
-        equiv = table == table[phi]
-        assert np.array_equal(equiv, ((table[phi] | table) & ~sums) == 0)
+    _check_sums(5)
 
 
 # ---------------------------------------------------------------------------

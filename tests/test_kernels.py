@@ -1,6 +1,5 @@
-"""Agreement of the vectorized kernels with the scalar implementations."""
+"""Agreement of the bit-sliced batch kernels with the scalar references."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +7,14 @@ from homrec import kernels
 from homrec.coloring import Coloring, EdgeSet, hom_signature, pair_count
 from homrec.reconstruct import is_valid_difference
 from homrec.structure import find_claw
+
+
+def _verdicts(verdict: int, size: int) -> list[bool]:
+    return [bool(verdict >> j & 1) for j in range(size)]
+
+
+def _masks(n: int, min_size: int = 0):
+    return st.lists(st.integers(0, (1 << pair_count(n)) - 1), min_size=min_size, max_size=30)
 
 
 @given(st.integers(3, 8).flatmap(
@@ -22,52 +29,98 @@ def test_hom_projection_mask_matches_signature(case):
 
 
 @given(st.integers(4, 7).flatmap(
-    lambda n: st.tuples(
-        st.just(n),
-        st.integers(0, (1 << pair_count(n)) - 1),
-        st.lists(st.integers(0, (1 << pair_count(n)) - 1), min_size=1, max_size=20),
-    )
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << pair_count(n)) - 1), _masks(n, 1))
 ))
 @settings(max_examples=60)
 def test_valid_for_phi_matches_scalar(case):
+    """One coloring, as its constant columns, against a batch of D."""
     n, phi_bits, d_masks = case
     phi = Coloring(n, phi_bits)
-    fast = kernels.valid_for_phi(n, phi_bits, np.array(d_masks, dtype=np.uint64))
+    full = (1 << len(d_masks)) - 1
+    phi_cols = kernels.constant_columns(n, phi_bits, full)
+    fast = kernels.valid_for_phi(n, phi_cols, kernels.columns_of(n, d_masks))
     slow = [is_valid_difference(phi, EdgeSet(n, d)) for d in d_masks]
-    assert fast.tolist() == slow
+    assert _verdicts(fast, len(d_masks)) == slow
 
 
-@given(st.lists(st.integers(0, (1 << 15) - 1), min_size=1, max_size=30))
-@settings(max_examples=40)
-def test_local_valid_rows_matches_scalar(masks):
-    n = 6
-    phis = masks
-    ds = list(reversed(masks))
-    phi_rows = kernels.unpack_masks(n, phis)
-    d_rows = kernels.unpack_masks(n, ds)
-    fast = kernels.local_valid_rows(n, phi_rows, d_rows)
-    slow = [
-        is_valid_difference(Coloring(n, p), EdgeSet(n, d)) for p, d in zip(phis, ds)
-    ]
-    assert fast.tolist() == slow
+@given(st.integers(4, 9).flatmap(lambda n: st.tuples(st.just(n), _masks(n), _masks(n))))
+@settings(max_examples=60)
+def test_valid_for_phi_on_paired_columns(case):
+    """A batch of (phi, D) entries, each with its own coloring."""
+    n, phis, ds = case
+    size = min(len(phis), len(ds))
+    phis, ds = phis[:size], ds[:size]
+    fast = kernels.valid_for_phi(n, kernels.columns_of(n, phis), kernels.columns_of(n, ds))
+    slow = [is_valid_difference(Coloring(n, p), EdgeSet(n, d)) for p, d in zip(phis, ds)]
+    assert _verdicts(fast, size) == slow
 
 
-def test_unpack_masks_round_trip():
-    masks = [0, 1, (1 << 15) - 1, 0b101010101010101]
-    rows = kernels.unpack_masks(6, masks)
-    back = [int(sum(int(b) << i for i, b in enumerate(row))) for row in rows]
-    assert back == masks
+@given(st.integers(3, 9).flatmap(lambda n: st.tuples(st.just(n), _masks(n))))
+@settings(max_examples=60)
+def test_hom_projection_rows_match_mask(case):
+    n, masks = case
+    rows = kernels.hom_projection_rows(n, kernels.columns_of(n, masks))
+    for j, bits in enumerate(masks):
+        expected = kernels.hom_projection_mask(n, bits)
+        assert sum((row >> j & 1) << t for t, row in enumerate(rows)) == expected
 
 
-@given(st.integers(0, (1 << 10) - 1))
-@settings(max_examples=200)
-def test_claw_table_matches_scalar_search(mask):
-    table_says = bool(kernels.has_claw_mask(5, np.array([mask], dtype=np.uint64))[0])
-    scalar_says = find_claw(EdgeSet(5, mask)) is not None
-    assert table_says == scalar_says
+def test_hom_projection_table_matches_mask():
+    for n in (3, 4, 5):
+        table = kernels.hom_projection_table(n)
+        for bits in range(1 << pair_count(n)):
+            assert sum((row >> bits & 1) << t for t, row in enumerate(table)) == (
+                kernels.hom_projection_mask(n, bits)
+            )
 
 
 def test_hom_projection_table_spot_values():
     table = kernels.hom_projection_table(5)
-    assert int(table[0]) == (1 << 10) - 1  # all-zero: every triple homogeneous
-    assert int(table[(1 << 10) - 1]) == (1 << 10) - 1
+    assert len(table) == 10
+    for row in table:
+        assert row & 1  # all-zero: every triple homogeneous
+        assert row >> ((1 << 10) - 1) == 1  # all-one likewise; no bit above it
+    assert all(row >= 0 for row in table)
+
+
+def test_columns_of_round_trip():
+    for n, masks in (
+        (6, [0, 1, (1 << 15) - 1, 0b101010101010101]),
+        (4, [0b101101]),
+        (9, [(1 << 36) - 1, 0, 1 << 35]),
+        (5, []),
+    ):
+        columns = kernels.columns_of(n, masks)
+        assert len(columns) == pair_count(n)
+        back = [sum((col >> j & 1) << i for i, col in enumerate(columns)) for j in range(len(masks))]
+        assert back == masks
+        assert all(col >> len(masks) == 0 for col in columns)
+
+
+def test_index_columns_enumerate_every_mask():
+    for k in range(11):
+        columns = kernels.index_columns(k)
+        assert len(columns) == k
+        for u in range(1 << k):
+            assert [col >> u & 1 for col in columns] == [u >> i & 1 for i in range(k)]
+        assert all(col >> (1 << k) == 0 for col in columns)
+    assert kernels.all_masks(5) == kernels.index_columns(10)
+
+
+def test_claw_table_matches_scalar_search():
+    """Every edge set on five vertices."""
+    clawed = kernels.has_claw_mask(5, kernels.all_masks(5))
+    for mask in range(1 << 10):
+        assert bool(clawed >> mask & 1) == (find_claw(EdgeSet(5, mask)) is not None), mask
+
+
+def test_kernels_on_an_empty_batch():
+    """Past the end of a batch every column reads 0: the all-zero entry,
+    a valid difference of the all-zero coloring with every triple
+    homogeneous and no claw."""
+    for n in (4, 6, 9):
+        empty = kernels.columns_of(n, [])
+        assert empty == (0,) * pair_count(n)
+        assert kernels.valid_for_phi(n, empty, empty) == -1
+        assert set(kernels.hom_projection_rows(n, empty)) == {-1}
+        assert kernels.has_claw_mask(n, empty) == 0

@@ -12,7 +12,6 @@ from itertools import combinations
 from pathlib import Path
 
 import networkx as nx
-import numpy as np
 import pytest
 
 import homrec
@@ -261,10 +260,12 @@ def test_hom_sets_bound(monkeypatch):
 
 
 def _check_validity(phi: Coloring, masks: list[int]) -> int:
-    verdicts = kernels.valid_for_phi(phi.n, phi.bits, np.array(masks, dtype=np.uint64))
-    for d, ok in zip(masks, verdicts.tolist()):
-        assert is_valid_difference(phi, EdgeSet(phi.n, d)) == ok, (phi, d)
-    return int(verdicts.sum())
+    full = (1 << len(masks)) - 1
+    phi_cols = kernels.constant_columns(phi.n, phi.bits, full)
+    verdicts = kernels.valid_for_phi(phi.n, phi_cols, kernels.columns_of(phi.n, masks)) & full
+    for j, d in enumerate(masks):
+        assert is_valid_difference(phi, EdgeSet(phi.n, d)) == bool(verdicts >> j & 1), (phi, d)
+    return verdicts.bit_count()
 
 
 def test_is_valid_difference_exhaustive_to_n4():
@@ -312,8 +313,8 @@ def test_cli_import_leaves_networkx_out():
 
 
 def test_commands_leave_numpy_out(tmp_path):
-    """generate, analyze (auto and exhaustive, n = 8) and export-dot run
-    without loading numpy; only the oracle and claws suites sweep with it."""
+    """generate, analyze (auto and exhaustive, n = 8), export-dot and the
+    oracle and claws suites run without loading numpy."""
     code = """
 import sys, homrec.cli
 path, out = sys.argv[1:]
@@ -322,6 +323,8 @@ for argv in (
     ["analyze", path, "--json", "--out", out],
     ["analyze", path, "--json", "--mode", "exhaustive", "--out", out],
     ["export-dot", path, "--out", out],
+    ["verify", "oracle", "--samples", "20", "--json", "--out", out],
+    ["verify", "claws", "--n", "4", "--json", "--out", out],
 ):
     assert homrec.cli.main(argv) == 0, argv
 print("numpy" in sys.modules)

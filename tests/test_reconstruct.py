@@ -1,9 +1,7 @@
 """Validity of flips, enumeration, membership, and the r function."""
 
 import random
-from functools import lru_cache
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +10,7 @@ from homrec import kernels, reconstruct
 from homrec.coloring import (
     Coloring,
     EdgeSet,
+    bits_of,
     difference,
     h_equivalent,
     iter_subsets_colex,
@@ -253,18 +252,22 @@ def test_minimal_witnesses_are_connected(phi):
 # the pair-class search against a full valid_for_phi sweep
 
 
-@lru_cache(maxsize=None)
-def _space(n: int):
-    """All masks in size-then-colex order (a stable sort by size keeps
-    the numeric order within one size)."""
-    return np.array(sorted(range(1 << pair_count(n)), key=int.bit_count), dtype=np.uint64)
+def _valid_among(phi: Coloring, masks: list[int]) -> list[int]:
+    """The masks that ``kernels.valid_for_phi`` passes, in their order."""
+    full = (1 << len(masks)) - 1
+    phi_cols = kernels.constant_columns(phi.n, phi.bits, full)
+    ok = kernels.valid_for_phi(phi.n, phi_cols, kernels.columns_of(phi.n, masks)) & full
+    return [masks[j] for j in bits_of(ok)]
 
 
 def _check_against_sweep(phi: Coloring) -> None:
-    ordered = _space(phi.n)
-    full = (1 << pair_count(phi.n)) - 1
-    valid = ordered[kernels.valid_for_phi(phi.n, phi.bits, ordered)].tolist()
-    swept = [m for m in valid if m not in (0, full)]
+    p = pair_count(phi.n)
+    batch = (1 << (1 << p)) - 1  # entry D is the mask D
+    phi_cols = kernels.constant_columns(phi.n, phi.bits, batch)
+    ok = kernels.valid_for_phi(phi.n, phi_cols, kernels.all_masks(phi.n)) & batch
+    full = (1 << p) - 1
+    # size-then-colex order; colex is numeric order within one size
+    swept = sorted((m for m in bits_of(ok) if m not in (0, full)), key=lambda m: (m.bit_count(), m))
     r = swept[0].bit_count() if swept else None
 
     report = r_value(phi)
@@ -323,8 +326,7 @@ def test_search_at_n8(phi):
     # nothing up to size 3 when r does not exist)
     top = 3 if report.r is None else report.r
     for size in range(1, top + 1):
-        masks = np.fromiter(iter_subsets_colex(28, size), dtype=np.uint64)
-        hits = masks[kernels.valid_for_phi(8, phi.bits, masks)].tolist()
+        hits = _valid_among(phi, list(iter_subsets_colex(28, size)))
         if size < top or report.r is None:
             assert hits == []
         else:
@@ -337,13 +339,12 @@ def test_search_at_n8(phi):
 
 def _expanded_masks(phi: Coloring) -> list[int]:
     """The search as it was: expand every union of pair classes into a
-    uint64 pair mask and test them all with ``kernels.valid_for_phi``."""
-    block = np.zeros(1, dtype=np.uint64)
+    pair mask and test them all with ``kernels.valid_for_phi``."""
+    block = [0]
     for c in _pair_classes(phi):
-        block = np.concatenate((block, block | np.uint64(c)))
+        block += [m | c for m in block]
     full = (1 << pair_count(phi.n)) - 1
-    ok = kernels.valid_for_phi(phi.n, phi.bits, block)
-    found = [m for m in block[ok].tolist() if m not in (0, full)]
+    found = [m for m in _valid_among(phi, block) if m not in (0, full)]
     return sorted(found, key=lambda m: (m.bit_count(), m))
 
 

@@ -234,6 +234,16 @@ def test_make_path_pair_matches_drawing():
     assert {phi0, psi0} == {FIG_PATH_PHI, FIG_PATH_PSI}
 
 
+@pytest.mark.parametrize("make", [make_path_pair, make_cycle_pair])
+def test_pair_generators_take_only_0_and_1(make):
+    for c in (0, 1):
+        for phase in (0, 1):
+            assert h_equivalent(*make(8, c, phase))
+    for c, phase in ((2, 0), (0, 5), (-1, 0), (1, -1)):
+        with pytest.raises(PreconditionError, match="must be 0 or 1"):
+            make(8, c, phase)
+
+
 def test_make_cycle_pair_matches_drawing():
     phi, psi = make_cycle_pair(6, 1, 1)
     assert (phi, psi) == (FIG_CYCLE_PHI, FIG_CYCLE_PSI)

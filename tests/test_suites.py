@@ -1,10 +1,13 @@
-"""Verification suites: reduced-scale passes and thread determinism."""
+"""Verification suites: reduced-scale passes, thread determinism, and the
+counterexamples a failing spine suite reports."""
 
 import json
 
 import pytest
 
-from homrec.suites import SUITES, run_suite
+from homrec import kernels
+from homrec.coloring import pair_index
+from homrec.suites import SUITES, _sample_masks, run_suite, suite_claws, suite_oracle
 
 SMALL_SCALES = {
     "oracle": dict(samples=200),
@@ -46,3 +49,65 @@ def test_suite_output_stable_across_runs(monkeypatch):
     a = run_suite("r-sweep", samples=40)
     b = run_suite("r-sweep", samples=40)
     assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# failing runs: a local kernel with a few verdicts inverted
+
+
+def _entries(columns, value: int) -> int:
+    """The entries of a batch whose mask is ``value`` (non-zero)."""
+    found = -1
+    for i, column in enumerate(columns):
+        found &= column if value >> i & 1 else ~column
+    return found
+
+
+def _invert_verdicts(monkeypatch, targets) -> None:
+    """Invert ``kernels.valid_for_phi`` on the (n, phi, D) entries in
+    ``targets``, wherever a batch puts them."""
+    original = kernels.valid_for_phi
+
+    def patched(n, phi, masks):
+        verdict = original(n, phi, masks)
+        for m, phi_bits, d in targets:
+            if m == n:
+                verdict ^= _entries(phi, phi_bits) & _entries(masks, d)
+        return verdict
+
+    monkeypatch.setattr(kernels, "valid_for_phi", patched)
+
+
+def test_oracle_names_the_least_difference_of_the_first_coloring(monkeypatch):
+    # for phi = 0x5 the least D (0x3) is the D of neither the least
+    # phi ^ D (0x1, from D = 0x4) nor the greatest (0xd, from D = 0x8)
+    targets = [(4, 0x9, 0x6), (4, 0x5, 0x6), (4, 0x5, 0x8), (4, 0x5, 0x4), (4, 0x5, 0x3)]
+    _invert_verdicts(monkeypatch, targets)
+    result = suite_oracle(n_exhaustive=4, random_ns=(), samples=0)
+    assert not result.ok
+    assert result.stats["mismatches"] == 5
+    assert result.failures == ["n=4 phi=0x5 D=0x3", "n=4 phi=0x9 D=0x6"]
+
+
+def test_oracle_names_the_first_disagreeing_sample(monkeypatch):
+    phis, ds = _sample_masks(6, 20, 9), _sample_masks(6, 20, 10)
+    assert len(set(zip(phis, ds))) == 20 and all(phis) and all(ds)
+    _invert_verdicts(monkeypatch, [(6, phis[11], ds[11]), (6, phis[4], ds[4])])
+    result = suite_oracle(n_exhaustive=3, random_ns=(7, 6), samples=20, seed=9)
+    assert not result.ok
+    assert result.stats["mismatches"] == 2
+    assert result.failures == [f"n=6 phi={phis[4]:#x} D={ds[4]:#x}"]
+
+
+def test_claws_names_the_least_clawed_difference(monkeypatch):
+    passing = suite_claws(5)
+    # a triangle on 0, 1, 2 without vertex 3, alone and with the pair {3, 4}
+    triangle = sum(1 << pair_index(x, y) for x, y in ((0, 1), (0, 2), (1, 2)))
+    _invert_verdicts(monkeypatch, [(5, 0x1, triangle | 1 << pair_index(3, 4)), (5, 0x1, triangle)])
+    result = suite_claws(5)
+    assert not result.ok
+    assert result.cases == passing.cases + 2
+    assert result.stats["distinct_valid_differences"] == (
+        passing.stats["distinct_valid_differences"] + 2
+    )
+    assert result.failures == ["n=5 D=0x7 contains a claw", "n=5 D=0x207 contains a claw"]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .coloring import (
     Coloring,
@@ -39,6 +39,7 @@ __all__ = [
     "ComponentKind",
     "ParityReport",
     "check_parity_lemmas",
+    "check_parity_paths",
     "components",
     "degree",
     "find_claw",
@@ -236,24 +237,32 @@ def check_parity_lemmas(phi: Coloring, psi: Coloring) -> ParityReport:
     if not h_equivalent(phi, psi):
         raise PreconditionError("colorings are not H-equivalent")
     diff = EdgeSet.ones_of(boolean_sum(phi, psi))
-    comps = components(diff)
-    paths = 0
-    for p in _chordless_paths(diff):
-        paths += 1
+    return check_parity_paths(phi, _chordless_paths(diff), len(components(diff)))
+
+
+def check_parity_paths(
+    phi: Coloring, paths: Iterable[tuple[int, ...]], components_checked: int
+) -> ParityReport:
+    """The parity laws of :func:`check_parity_lemmas` on phi along the
+    given paths of a difference set with ``components_checked``
+    components; the paths are read up to the first violation."""
+    checked = 0
+    for p in paths:
+        checked += 1
         k = len(p) - 1
         even = k % 2 == 0
         if (phi.get(p[0], p[1]) != phi.get(p[-2], p[-1])) != even:
             return ParityReport(
                 False,
-                len(comps),
-                paths,
+                components_checked,
+                checked,
                 ParityViolation("endpoint-edges", p, "first/last edge parity law failed"),
             )
         if (phi.get(p[0], p[2]) == phi.get(p[0], p[-1])) != even:
             return ParityReport(
                 False,
-                len(comps),
-                paths,
+                components_checked,
+                checked,
                 ParityViolation("anchored-distance", p, "x0-x2 vs x0-xn law failed"),
             )
         if k >= 3:
@@ -266,11 +275,11 @@ def check_parity_lemmas(phi: Coloring, psi: Coloring) -> ParityReport:
                 ):
                     return ParityReport(
                         False,
-                        len(comps),
-                        paths,
+                        components_checked,
+                        checked,
                         ParityViolation("sliding-window", p, f"window i={i} failed"),
                     )
-    return ParityReport(True, len(comps), paths, None)
+    return ParityReport(True, components_checked, checked, None)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ independent of thread count and identical across runs with the same seed.
 Failures carry the first counterexample found in scan order.  The oracle
 and claws suites sweep the bit-sliced batch kernels of ``kernels`` (one
 int per pair, one bit per case); the others read the pair-class search
-of ``reconstruct`` or the scalar checks.
+of ``reconstruct`` or the scalar checks.  Parity and connectivity meet
+each difference set D under many colorings; within one run they work
+out what depends on D alone (its components, paths and shape) once per
+D, and every check that involves the coloring once per case.
 
 Suites:
 
@@ -60,7 +63,9 @@ from .reconstruct import Verdict, _reconstruction_masks, in_R, is_valid_differen
 from .srcheck import alpha_coloring, theorem63_condition_c, verify_alpha
 from .structure import (
     ComponentKind,
+    _chordless_paths,
     check_parity_lemmas,
+    check_parity_paths,
     components,
     degree,
     hom_color_uniform,
@@ -246,11 +251,21 @@ def suite_parity(n: int = 5, max_m: int = 12) -> SuiteResult:
     scale = {"n": n, "max_m": max_m}
     failures: list[str] = []
     cases = 0
+    # by D's mask: its component count and chordless paths
+    paths_of: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
     for phi_bits, valid in _valid_masks_by_phi(n, range(1 << pair_count(n))):
         phi = Coloring(n, phi_bits)
         for d in valid:
             cases += 1
-            report = check_parity_lemmas(phi, Coloring(n, phi_bits ^ d))
+            if not h_equivalent(phi, Coloring(n, phi_bits ^ d)):
+                raise ConsistencyError(
+                    f"n={n} phi={phi_bits:#x} D={d:#x}: the search returned invalid D"
+                )
+            if d not in paths_of:
+                diff = EdgeSet(n, d)
+                paths_of[d] = (len(components(diff)), tuple(_chordless_paths(diff)))
+            count, paths = paths_of[d]
+            report = check_parity_paths(phi, paths, count)
             if not report.ok and len(failures) < _MAX_FAILURES:
                 failures.append(
                     f"n={n} phi={phi_bits:#x} D={d:#x} lemma={report.violation.lemma}"
@@ -383,6 +398,7 @@ def suite_connectivity(
 
     def examine(n: int, phis, max_size: Optional[int]) -> None:
         nonlocal cases, uniform_cases
+        facts: dict[int, tuple] = {}
         for phi_bits, valid in _valid_masks_by_phi(n, phis):
             phi = Coloring(n, phi_bits)
             critical = set(find_critical_pairs(phi))
@@ -392,46 +408,36 @@ def suite_connectivity(
                 if max_size is not None and d.bit_count() > max_size:
                     continue
                 cases += 1
-                diff = EdgeSet(n, d)
+                if d not in facts:
+                    facts[d] = _difference_facts(n, d)
+                diff, uniform, shape, parts = facts[d]
                 if not is_valid_difference(phi, diff):
                     raise ConsistencyError(
-                        f"n={n} phi={phi_bits:#x}: the search returned invalid D={d:#x}"
+                        f"n={n} phi={phi_bits:#x} D={d:#x}: the search returned invalid D"
                     )
-                comps = components(diff)
-                if hom_color_uniform(diff.indicator()) == 0:
+                if uniform:
                     uniform_cases += 1
-                    if any(degree(diff, v) > 2 for v in range(n)):
-                        _note(failures, f"n={n} phi={phi_bits:#x} D={d:#x}: degree > 2")
-                    bad_kind = [
-                        c.kind
-                        for c in comps
-                        if c.kind not in (ComponentKind.PATH, ComponentKind.EVEN_CYCLE)
-                    ]
-                    if bad_kind:
-                        _note(
-                            failures,
-                            f"n={n} phi={phi_bits:#x} D={d:#x}: component {bad_kind[0].value}",
-                        )
-                for comp in comps:
-                    if not is_valid_difference(phi, diff.within(comp.vertices)):
+                    for problem in shape:
+                        _note(failures, f"n={n} phi={phi_bits:#x} D={d:#x}: {problem}")
+                for part, verts, pairs in parts:
+                    # a lone component's restriction is D itself, valid above
+                    if len(parts) > 1 and not is_valid_difference(phi, part):
                         _note(
                             failures,
                             f"n={n} phi={phi_bits:#x} D={d:#x}: component restriction invalid",
                         )
                     # criticality is local: a difference edge critical on its
                     # component's restriction is critical globally
-                    verts = tuple(sorted(comp.vertices))
                     if len(verts) < 3:
                         continue
                     if verts not in local_critical:
                         local_critical[verts] = set(find_critical_pairs(restrict(phi, verts)))
-                    pos = {v: i for i, v in enumerate(verts)}
-                    for x, y in diff.within(verts).members():
-                        if (pos[x], pos[y]) in local_critical[verts] and (x, y) not in critical:
+                    for i, j in pairs:
+                        if (i, j) in local_critical[verts] and (verts[i], verts[j]) not in critical:
                             _note(
                                 failures,
                                 f"n={n} phi={phi_bits:#x} D={d:#x}: "
-                                f"pair ({x},{y}) critical locally only",
+                                f"pair ({verts[i]},{verts[j]}) critical locally only",
                             )
 
     examine(n_exhaustive, range(1 << pair_count(n_exhaustive)), None)
@@ -444,6 +450,32 @@ def suite_connectivity(
         {"uniform_color_cases": uniform_cases},
         failures,
     )
+
+
+def _difference_facts(n: int, d: int) -> tuple:
+    """What connectivity checks of D alone: its edge set, whether D's
+    indicator (the sum phi + psi) has only color-0 homogeneous triples,
+    the shape laws that then fail, and per component its restriction,
+    sorted vertices and member pairs as positions among those vertices."""
+    diff = EdgeSet(n, d)
+    comps = components(diff)
+    uniform = hom_color_uniform(diff.indicator()) == 0
+    shape: tuple[str, ...] = ()
+    if uniform:
+        if any(degree(diff, v) > 2 for v in range(n)):
+            shape += ("degree > 2",)
+        bad_kind = [
+            c.kind for c in comps if c.kind not in (ComponentKind.PATH, ComponentKind.EVEN_CYCLE)
+        ]
+        if bad_kind:
+            shape += (f"component {bad_kind[0].value}",)
+    parts = []
+    for comp in comps:
+        verts = tuple(sorted(comp.vertices))
+        part = diff if len(comps) == 1 else diff.within(verts)
+        pos = {v: i for i, v in enumerate(verts)}
+        parts.append((part, verts, tuple((pos[x], pos[y]) for x, y in part.members())))
+    return diff, uniform, shape, tuple(parts)
 
 
 def _note(failures: list[str], message: str) -> None:

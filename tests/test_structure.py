@@ -16,7 +16,10 @@ from homrec.fixtures import fig_homsum_pair
 from homrec.structure import (
     ClawWitness,
     ComponentKind,
+    ParityReport,
+    ParityViolation,
     check_parity_lemmas,
+    check_parity_paths,
     components,
     degree,
     find_claw,
@@ -175,7 +178,19 @@ def test_parity_laws_on_drawn_cycle_pair():
 
 def test_parity_laws_on_generated_pair():
     report = check_parity_lemmas(*make_path_pair(10, 1, 0))
-    assert report.ok and report.paths_checked > 0
+    # every sub-path of >= 2 edges of the 10-vertex path, both directions
+    assert report.ok and report.paths_checked == 2 * sum(range(1, 9))
+
+
+def test_parity_paths_stop_at_the_first_violation():
+    # on the all-zero coloring a 2-edge path has equal end edges
+    report = check_parity_paths(Coloring.zero(4), [(0, 1, 2), (1, 2, 3)], 1)
+    assert report == ParityReport(
+        False,
+        1,
+        1,
+        ParityViolation("endpoint-edges", (0, 1, 2), "first/last edge parity law failed"),
+    )
 
 
 def test_parity_requires_h_equivalence():

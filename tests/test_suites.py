@@ -1,13 +1,30 @@
-"""Verification suites: reduced-scale passes, thread determinism, and the
-counterexamples a failing spine suite reports."""
+"""Verification suites: reduced-scale passes, thread determinism, the
+counterexamples a failing suite reports, and parity and connectivity at
+default scale."""
 
 import json
 
 import pytest
 
-from homrec import kernels
-from homrec.coloring import pair_index
-from homrec.suites import SUITES, _sample_masks, run_suite, suite_claws, suite_oracle
+from homrec import kernels, suites
+from homrec.coloring import Coloring, EdgeSet, pair_count, pair_index
+from homrec.errors import ConsistencyError
+from homrec.structure import (
+    ParityReport,
+    ParityViolation,
+    _chordless_paths,
+    check_parity_lemmas,
+    check_parity_paths,
+    components,
+)
+from homrec.suites import (
+    SUITES,
+    _sample_masks,
+    _valid_masks_by_phi,
+    run_suite,
+    suite_claws,
+    suite_oracle,
+)
 
 SMALL_SCALES = {
     "oracle": dict(samples=200),
@@ -111,3 +128,105 @@ def test_claws_names_the_least_clawed_difference(monkeypatch):
         passing.stats["distinct_valid_differences"] + 2
     )
     assert result.failures == ["n=5 D=0x7 contains a claw", "n=5 D=0x207 contains a claw"]
+
+
+# ---------------------------------------------------------------------------
+# parity and connectivity: per-D facts are shared, per-(phi, D) checks are not
+
+
+def test_parity_and_connectivity_at_default_scale():
+    assert run_suite("parity").to_json() == {
+        "suite": "parity",
+        "ok": True,
+        "cases": 8592,
+        "scale": {"n": 5, "max_m": 12},
+        "stats": {},
+        "failures": [],
+    }
+    assert run_suite("connectivity").to_json() == {
+        "suite": "connectivity",
+        "ok": True,
+        "cases": 11314,
+        "scale": {
+            "n_exhaustive": 5,
+            "n_sampled": 6,
+            "samples": 1000,
+            "seed": 9,
+            "max_size_sampled": 8,
+        },
+        "stats": {"uniform_color_cases": 6850},
+        "failures": [],
+    }
+
+
+def test_parity_wrapper_matches_the_laws_over_shared_paths():
+    shared = {}
+    for phi_bits, valid in _valid_masks_by_phi(5, range(1 << pair_count(5))):
+        phi = Coloring(5, phi_bits)
+        for d in valid:
+            if d not in shared:
+                diff = EdgeSet(5, d)
+                shared[d] = (tuple(_chordless_paths(diff)), len(components(diff)))
+            paths, count = shared[d]
+            assert check_parity_lemmas(phi, Coloring(5, phi_bits ^ d)) == check_parity_paths(
+                phi, paths, count
+            )
+
+
+@pytest.mark.parametrize(
+    "name, scale",
+    [("parity", dict(n=4, max_m=6)), ("connectivity", dict(n_exhaustive=4, samples=0))],
+)
+def test_search_consistency_error_names_its_case(name, scale, monkeypatch):
+    # the all-zero coloring has no non-trivial valid difference at all
+    original = suites._reconstruction_masks
+    monkeypatch.setattr(suites, "_reconstruction_masks", lambda phi: original(phi) + [0x1])
+    with pytest.raises(ConsistencyError, match=r"^n=4 phi=0x0 D=0x1: the search returned"):
+        run_suite(name, **scale)
+
+
+def _owners(d: int) -> list[int]:
+    return [phi for phi, valid in _valid_masks_by_phi(5, range(1 << pair_count(5))) if d in valid]
+
+
+def test_parity_names_only_the_coloring_whose_law_fails(monkeypatch):
+    # D = {01, 04} is a path of every one of its 32 colorings; the law is
+    # broken for the second of them only
+    phi_bits, d = 0x2B, 0x41
+    owners = _owners(d)
+    assert len(owners) == 32 and owners[0] < phi_bits < owners[-1]
+    paths = tuple(_chordless_paths(EdgeSet(5, d)))
+    original = suites.check_parity_paths
+
+    def patched(phi, given, count):
+        if phi.bits == phi_bits and given == paths:
+            return ParityReport(False, count, 1, ParityViolation("endpoint-edges", paths[0], ""))
+        return original(phi, given, count)
+
+    monkeypatch.setattr(suites, "check_parity_paths", patched)
+    result = run_suite("parity", max_m=6)
+    assert not result.ok
+    assert result.failures == [f"n=5 phi={phi_bits:#x} D={d:#x} lemma=endpoint-edges"]
+
+
+def test_connectivity_names_only_the_coloring_whose_restriction_fails(monkeypatch):
+    # D = {12, 03} has two one-edge components; the restriction to its
+    # first, {03}, is rejected for the second of its 32 colorings only
+    phi_bits, d, first = 0xD6, 0xC, 0x8
+    owners = _owners(d)
+    assert len(owners) == 32 and owners[0] < phi_bits < owners[-1]
+    original = suites.is_valid_difference
+    last = [None]
+
+    def patched(phi, edges):
+        # {03} is a valid difference in its own right: reject it only where
+        # it is asked right after D's own check, as D's restriction
+        asked, last[0] = last[0], (phi.bits, edges.mask)
+        if last[0] == (phi_bits, first) and asked == (phi_bits, d):
+            return False
+        return original(phi, edges)
+
+    monkeypatch.setattr(suites, "is_valid_difference", patched)
+    result = run_suite("connectivity", samples=0)
+    assert not result.ok
+    assert result.failures == [f"n=5 phi={phi_bits:#x} D={d:#x}: component restriction invalid"]

@@ -50,7 +50,6 @@ __all__ = [
     "hom_sets",
     "hom_signature",
     "hom_triple_counts",
-    "pair_at",
     "pair_count",
     "pair_index",
     "restrict",
@@ -89,10 +88,6 @@ def pair_index(x: int, y: int, n: int | None = None) -> int:
 def pairs_of(n: int) -> tuple[tuple[int, int], ...]:
     """All pairs on n vertices in colex (= index) order."""
     return tuple((x, y) for y in range(n) for x in range(y))
-
-
-def pair_at(idx: int, n: int) -> tuple[int, int]:
-    return pairs_of(n)[idx]
 
 
 @lru_cache(maxsize=None)

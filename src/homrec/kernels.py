@@ -25,11 +25,15 @@ one scalar reference:
   compare the homogeneous-triple sets directly.
 
 These are kept as independent implementations on purpose.
+``critical_rows`` is the batch form of ``critical.find_critical_pairs``
+on the restriction to a vertex set.
 
-Callers: the oracle and claws suites, which sweep both batch routes,
-``coloring.h_equivalent``, which reads ``hom_projection_mask``, and the
-pair-class search of ``reconstruct``, whose union columns are
-``index_columns``.
+Callers: the oracle and claws suites, which sweep both batch routes; the
+parity and connectivity suites, which check one difference set against a
+batch of colorings with ``hom_projection_rows``, ``valid_for_phi`` and
+``critical_rows``; ``coloring.h_equivalent``, which reads
+``hom_projection_mask``; and the pair-class search of ``reconstruct``,
+whose union columns are ``index_columns``.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ __all__ = [
     "all_masks",
     "columns_of",
     "constant_columns",
+    "critical_rows",
     "has_claw_mask",
     "hom_projection_mask",
     "hom_projection_rows",
@@ -127,6 +132,23 @@ def valid_for_phi(n: int, phi: Sequence[int], masks: Sequence[int]) -> int:
         )
         fail |= (xab | xac) & ~apart
     return ~fail
+
+
+def critical_rows(
+    n: int, columns: Sequence[int], vertices: Sequence[int]
+) -> dict[tuple[int, int], int]:
+    """Per pair x < y of the ascending ``vertices`` (at least 3), the
+    entries of a batch whose restriction to ``vertices`` makes the pair
+    critical: every other z of them sees x and y in opposite colors."""
+    rows = {}
+    for x, y in combinations(vertices, 2):
+        critical = -1
+        for z in vertices:
+            if z != x and z != y:
+                xz, yz = pair_index(*sorted((x, z))), pair_index(*sorted((y, z)))
+                critical &= columns[xz] ^ columns[yz]
+        rows[x, y] = critical
+    return rows
 
 
 @lru_cache(maxsize=None)

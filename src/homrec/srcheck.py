@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .coloring import Coloring, EdgeSet, hom_signature, iter_subsets_colex, pair_index, restrict
+from .coloring import Coloring, EdgeSet, iter_subsets_colex, pair_index, restrict
 from .critical import b_set, find_critical_cycles, is_critical_pair
 from .errors import (
     BudgetError,
@@ -285,9 +285,11 @@ def verify_alpha(nmax: int, seed: int = 0) -> AlphaReport:
                 members = b_set(phi, (x, y)).members
                 if 1 not in members or 2 not in members:
                     failures.append(f"(d) n={n}: B-set of ({x}, {y}) misses 1 or 2")
-        sig = hom_signature(phi)
+        # {1, 2, z} is homogeneous iff phi{1,z} = phi{2,z} = phi{1,2}
+        one, two = phi.nbr[1], phi.nbr[2]
+        color = one >> 2 & 1
         for z in range(3, n):
             checks += 1
-            if sig.kind(1, 2, z).value == 0:
+            if not one >> z & 1 == two >> z & 1 == color:
                 failures.append(f"(e) n={n}: triple (1, 2, {z}) not homogeneous")
     return AlphaReport(not failures, nmax, checks, tuple(failures))

@@ -7,9 +7,13 @@ Failures carry the first counterexample found in scan order.  The oracle
 and claws suites sweep the bit-sliced batch kernels of ``kernels`` (one
 int per pair, one bit per case); the others read the pair-class search
 of ``reconstruct`` or the scalar checks.  Parity and connectivity meet
-each difference set D under many colorings; within one run they work
-out what depends on D alone (its components, paths and shape) once per
-D, and every check that involves the coloring once per case.
+each difference set D under many colorings, so they group the search's
+cases by D over batches of colorings and check D against all of its
+owners in a batch at once: each check on the coloring is one expression
+over the batch's pair columns, one bit per coloring, and the owners' bits
+are read off it.  What depends on D alone (its paths, components and
+shape) is worked out once per D and run.  Failures are still named in
+the order of a scan case by case: coloring, then D, then check.
 
 Suites:
 
@@ -53,19 +57,19 @@ from .coloring import (
     h_equivalent,
     hom_sets,
     pair_count,
+    pair_index,
     restrict,
 )
 from .critical import find_critical_pairs, flip_reconstruction
 from .errors import ConsistencyError, HomrecError
 from .fixtures import partition_coloring
 from .parallel import run_sharded, shard_ranges
-from .reconstruct import Verdict, _reconstruction_masks, in_R, is_valid_difference
+from .reconstruct import Verdict, _reconstruction_masks, in_R
 from .srcheck import alpha_coloring, theorem63_condition_c, verify_alpha
 from .structure import (
     ComponentKind,
     _chordless_paths,
     check_parity_lemmas,
-    check_parity_paths,
     components,
     degree,
     hom_color_uniform,
@@ -244,33 +248,128 @@ def suite_claws(n: int = 5) -> SuiteResult:
 
 
 # ---------------------------------------------------------------------------
+# parity and connectivity: each difference set D against a batch of the
+# colorings that own it, one bit per coloring
+
+# colorings per batch; each batch keeps one owner mask per D, so this bounds
+# the grouping (n = 6 has about 4000 distinct D and 2^15 colorings)
+_BATCH = 4096
+
+
+def _owner_batches(n: int, phis, max_size: Optional[int] = None):
+    """The colorings ``phis`` in batches of at most ``_BATCH``, each as its
+    first index in ``phis``, its colorings, their pair columns and, per
+    non-trivial valid difference D (of at most ``max_size`` pairs) of an
+    entry, the mask of the entries that own D."""
+    for lo in range(0, len(phis), _BATCH):
+        chunk = phis[lo : lo + _BATCH]
+        owners: dict[int, int] = {}
+        for j, phi in enumerate(chunk):
+            for d in _reconstruction_masks(Coloring(n, phi)):
+                if max_size is None or d.bit_count() <= max_size:
+                    owners[d] = owners.get(d, 0) | 1 << j
+        yield lo, chunk, kernels.columns_of(n, chunk), owners
+
+
+class _FirstCases:
+    """The first ``_MAX_FAILURES`` flagged (phi, D) cases of batched checks,
+    in the order of a scan case by case: coloring index, then D, then the
+    order of the checks within a case."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.found: list[tuple[tuple[int, int, int], str]] = []
+
+    def add(self, lo: int, chunk, d: int, rank: int, entries: int, note: str) -> None:
+        # a later entry of one check cannot come before its first ones
+        for j in islice(bits_of(entries), _MAX_FAILURES):
+            message = f"n={self.n} phi={chunk[j]:#x} D={d:#x}{note}"
+            self.found.append(((lo + j, d, rank), message))
+        if entries:
+            self.found = sorted(self.found)[:_MAX_FAILURES]
+
+    def messages(self) -> list[str]:
+        return [message for _, message in self.found]
+
+
+# ---------------------------------------------------------------------------
 # parity
+
+_LAWS = ("endpoint-edges", "anchored-distance", "sliding-window")
+
+
+def _parity_violations(n: int, columns, paths) -> tuple[int, int, int]:
+    """Batch form of ``structure.check_parity_paths``: per law of
+    ``_LAWS``, the entries whose first violation along ``paths`` (in
+    order, each law in turn) breaks that law."""
+
+    def col(x: int, y: int) -> int:
+        return columns[pair_index(x, y) if x < y else pair_index(y, x)]
+
+    first = [0, 0, 0]
+    broken = 0
+    for p in paths:
+        k = len(p) - 1
+        odd = -(k % 2)  # every bit set when k is odd
+        window = 0
+        if k >= 3:
+            base = col(p[0], p[2])
+            for i in range(k - 2):
+                window |= (
+                    (col(p[i], p[i + 2]) ^ base)
+                    | ~(col(p[i], p[i + 3]) ^ base)
+                    | (col(p[i + 1], p[i + 3]) ^ base)
+                )
+        laws = (
+            # the end edges differ iff k is even
+            ~(col(p[0], p[1]) ^ col(p[-2], p[-1]) ^ odd),
+            # phi{x0,x2} = phi{x0,xk} iff k is even
+            col(p[0], p[2]) ^ col(p[0], p[-1]) ^ odd,
+            window,
+        )
+        for i, fails in enumerate(laws):
+            fails &= ~broken
+            first[i] |= fails
+            broken |= fails
+    return first[0], first[1], first[2]
+
+
+def _parity_outcomes(n: int, phis):
+    """The batch route of the parity suite.  Per batch of ``phis`` and per
+    D that an entry owns: the batch's first index and colorings, D, its
+    owner mask, the entries phi for which phi ^ D is not H-equivalent to
+    phi, and per law of ``_LAWS`` the entries that break it first.  Every
+    entry of a batch is checked; the suite reads the owners."""
+    paths_of: dict[int, tuple[tuple[int, ...], ...]] = {}
+    for lo, chunk, columns, owners in _owner_batches(n, phis):
+        full = (1 << len(chunk)) - 1
+        rows = kernels.hom_projection_rows(n, columns)
+        for d in sorted(owners):
+            flipped = kernels.hom_projection_rows(
+                n, [c ^ full if d >> i & 1 else c for i, c in enumerate(columns)]
+            )
+            moved = 0
+            for a, b in zip(rows, flipped):
+                moved |= a ^ b
+            if d not in paths_of:
+                paths_of[d] = tuple(_chordless_paths(EdgeSet(n, d)))
+            laws = _parity_violations(n, columns, paths_of[d])
+            yield lo, chunk, d, owners[d], moved, laws
 
 
 def suite_parity(n: int = 5, max_m: int = 12) -> SuiteResult:
     scale = {"n": n, "max_m": max_m}
-    failures: list[str] = []
     cases = 0
-    # by D's mask: its component count and chordless paths
-    paths_of: dict[int, tuple[int, tuple[tuple[int, ...], ...]]] = {}
-    for phi_bits, valid in _valid_masks_by_phi(n, range(1 << pair_count(n))):
-        phi = Coloring(n, phi_bits)
-        for d in valid:
-            cases += 1
-            if not h_equivalent(phi, Coloring(n, phi_bits ^ d)):
-                raise ConsistencyError(
-                    f"n={n} phi={phi_bits:#x} D={d:#x}: the search returned invalid D"
-                )
-            if d not in paths_of:
-                diff = EdgeSet(n, d)
-                paths_of[d] = (len(components(diff)), tuple(_chordless_paths(diff)))
-            count, paths = paths_of[d]
-            report = check_parity_paths(phi, paths, count)
-            if not report.ok and len(failures) < _MAX_FAILURES:
-                failures.append(
-                    f"n={n} phi={phi_bits:#x} D={d:#x} lemma={report.violation.lemma}"
-                )
+    first, invalid = _FirstCases(n), _FirstCases(n)
+    for lo, chunk, d, own, moved, laws in _parity_outcomes(n, range(1 << pair_count(n))):
+        cases += own.bit_count()
+        invalid.add(lo, chunk, d, 0, own & moved, ": the search returned invalid D")
+        for lemma, broken in zip(_LAWS, laws):
+            first.add(lo, chunk, d, 0, own & broken, f" lemma={lemma}")
+    if invalid.found:
+        raise ConsistencyError(invalid.messages()[0])
 
+    failures = first.messages()
     for m in range(6, max_m + 1, 2):
         for make in (make_path_pair, make_cycle_pair):
             for c in (0, 1):
@@ -398,47 +497,17 @@ def suite_connectivity(
 
     def examine(n: int, phis, max_size: Optional[int]) -> None:
         nonlocal cases, uniform_cases
-        facts: dict[int, tuple] = {}
-        for phi_bits, valid in _valid_masks_by_phi(n, phis):
-            phi = Coloring(n, phi_bits)
-            critical = set(find_critical_pairs(phi))
-            # critical pairs of phi restricted to a vertex set, in its positions
-            local_critical: dict[tuple[int, ...], set[tuple[int, int]]] = {}
-            for d in valid:
-                if max_size is not None and d.bit_count() > max_size:
-                    continue
-                cases += 1
-                if d not in facts:
-                    facts[d] = _difference_facts(n, d)
-                diff, uniform, shape, parts = facts[d]
-                if not is_valid_difference(phi, diff):
-                    raise ConsistencyError(
-                        f"n={n} phi={phi_bits:#x} D={d:#x}: the search returned invalid D"
-                    )
-                if uniform:
-                    uniform_cases += 1
-                    for problem in shape:
-                        _note(failures, f"n={n} phi={phi_bits:#x} D={d:#x}: {problem}")
-                for part, verts, pairs in parts:
-                    # a lone component's restriction is D itself, valid above
-                    if len(parts) > 1 and not is_valid_difference(phi, part):
-                        _note(
-                            failures,
-                            f"n={n} phi={phi_bits:#x} D={d:#x}: component restriction invalid",
-                        )
-                    # criticality is local: a difference edge critical on its
-                    # component's restriction is critical globally
-                    if len(verts) < 3:
-                        continue
-                    if verts not in local_critical:
-                        local_critical[verts] = set(find_critical_pairs(restrict(phi, verts)))
-                    for i, j in pairs:
-                        if (i, j) in local_critical[verts] and (verts[i], verts[j]) not in critical:
-                            _note(
-                                failures,
-                                f"n={n} phi={phi_bits:#x} D={d:#x}: "
-                                f"pair ({verts[i]},{verts[j]}) critical locally only",
-                            )
+        first, invalid = _FirstCases(n), _FirstCases(n)
+        for lo, chunk, d, own, valid, uniform, checks in _connectivity_outcomes(n, phis, max_size):
+            cases += own.bit_count()
+            if uniform:
+                uniform_cases += own.bit_count()
+            invalid.add(lo, chunk, d, 0, own & ~valid, ": the search returned invalid D")
+            for rank, (entries, problem) in enumerate(checks):
+                first.add(lo, chunk, d, rank, own & entries, f": {problem}")
+        if invalid.found:
+            raise ConsistencyError(invalid.messages()[0])
+        failures.extend(first.messages())
 
     examine(n_exhaustive, range(1 << pair_count(n_exhaustive)), None)
     examine(n_sampled, _sample_masks(n_sampled, samples, seed), max_size_sampled)
@@ -448,15 +517,53 @@ def suite_connectivity(
         cases,
         scale,
         {"uniform_color_cases": uniform_cases},
-        failures,
+        failures[:_MAX_FAILURES],
     )
 
 
+def _connectivity_outcomes(n: int, phis, max_size: Optional[int]):
+    """The batch route of the connectivity suite.  Per batch of ``phis``
+    and per D (of at most ``max_size`` pairs) that an entry owns: the
+    batch's first index and colorings, D, its owner mask, the entries of
+    which D is a valid difference, whether D's indicator is color-0
+    uniform, and the other checks of a case in order, each as (the entries
+    it fails for, the problem).  Every entry of a batch is checked; the
+    suite reads the owners."""
+    facts: dict[int, tuple] = {}
+    for lo, chunk, columns, owners in _owner_batches(n, phis, max_size):
+        full = (1 << len(chunk)) - 1
+        critical = kernels.critical_rows(n, columns, range(n))
+        # per vertex set: pair criticality on the restriction to it
+        local: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+        for d in sorted(owners):
+            if d not in facts:
+                facts[d] = _difference_facts(n, d)
+            uniform, shape, parts = facts[d]
+            valid = kernels.valid_for_phi(n, columns, kernels.constant_columns(n, d, full))
+            checks = [(-1, problem) for problem in shape] if uniform else []
+            for part, verts, pairs in parts:
+                # a lone component's restriction is D itself, checked above
+                if len(parts) > 1:
+                    part_columns = kernels.constant_columns(n, part, full)
+                    part_valid = kernels.valid_for_phi(n, columns, part_columns)
+                    checks.append((~part_valid, "component restriction invalid"))
+                # criticality is local: a difference edge critical on its
+                # component's restriction is critical globally
+                if len(verts) < 3:
+                    continue
+                if verts not in local:
+                    local[verts] = kernels.critical_rows(n, columns, verts)
+                for x, y in pairs:
+                    only = local[verts][x, y] & ~critical[x, y]
+                    checks.append((only, f"pair ({x},{y}) critical locally only"))
+            yield lo, chunk, d, owners[d], valid, uniform, checks
+
+
 def _difference_facts(n: int, d: int) -> tuple:
-    """What connectivity checks of D alone: its edge set, whether D's
-    indicator (the sum phi + psi) has only color-0 homogeneous triples,
-    the shape laws that then fail, and per component its restriction,
-    sorted vertices and member pairs as positions among those vertices."""
+    """What connectivity checks of D alone: whether D's indicator (the sum
+    phi + psi) has only color-0 homogeneous triples, the shape laws that
+    then fail, and per component its restriction's mask, its sorted
+    vertices and its member pairs."""
     diff = EdgeSet(n, d)
     comps = components(diff)
     uniform = hom_color_uniform(diff.indicator()) == 0
@@ -472,10 +579,9 @@ def _difference_facts(n: int, d: int) -> tuple:
     parts = []
     for comp in comps:
         verts = tuple(sorted(comp.vertices))
-        part = diff if len(comps) == 1 else diff.within(verts)
-        pos = {v: i for i, v in enumerate(verts)}
-        parts.append((part, verts, tuple((pos[x], pos[y]) for x, y in part.members())))
-    return diff, uniform, shape, tuple(parts)
+        part = diff.within(verts)
+        parts.append((part.mask, verts, tuple(part.members())))
+    return uniform, shape, tuple(parts)
 
 
 def _note(failures: list[str], message: str) -> None:

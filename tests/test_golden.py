@@ -1,0 +1,41 @@
+"""Byte-identity of suite output: the sha256 of ``homrec verify <suite>
+--json`` for all eight suites at default scale, and for the seeded suites
+at the cut-down scale of the benchmark's suites workload.  A change that
+alters any byte of a suite's JSON fails here."""
+
+import hashlib
+
+import pytest
+
+from homrec.cli import main
+
+DEFAULT_SCALE = {
+    "alpha": "eb410a713ed891ebdb897b6c77656ca3b3c972c7647e11dacc5c555a8a836eed",
+    "claws": "f6ec85658406529b30dee90df014a1228313abe0530995e0ae58db311fd6b929",
+    "connectivity": "ab6ec53469f158e785db69fcd24b2d73e7fc28551663ed27c82c427fdcd8a8c4",
+    "oracle": "b63596dc1ecb568dde1f8c4f5ba8604252e8369f7ee5f002ef944f403e718188",
+    "parity": "98c0add28b7af4c7650eb75e8e2b72b150fc7001b05ddb2bf8a45492e2d305ea",
+    "partition-theorem": "669944baf8775f917bd5638d4f1983d48e51fd150755770f2a8efcf0aaabf896",
+    "r-sweep": "8d1c1dce8a05233f57cc8dbd77e818a49f286e03a90efc081a1eb09052b2febb",
+    "theorem63": "7af52e8c1edd2ab8694469ded617d7fc125e55f03aa2ca21b28313f918b10ea0",
+}
+
+# the seeded suites as the benchmark's suites workload runs them; the other
+# four run there at default scale
+CUT_SCALE = {
+    "oracle": ("2000", "3d474edf347a5b477b72f5400d59a95664761a2e52db2137940a015be15a9f14"),
+    "r-sweep": ("200", "437074d7e5b9fcde0c3d81cc49daef707fc9464ae01479cb8b0f0d1cc82c795a"),
+    "connectivity": ("200", "188322227c2fc03e44a2135757c65a81095eeb1983b893876401fb227ee4b73d"),
+    "theorem63": ("4", "4d74c14be640e5d2bf56856f77454ecb6b8d2d2fed271c3e23fcb717a9481fb0"),
+}
+
+CASES = [(["verify", suite, "--json"], digest) for suite, digest in DEFAULT_SCALE.items()] + [
+    (["verify", suite, "--json", "--samples", samples, "--seed", "4242"], digest)
+    for suite, (samples, digest) in CUT_SCALE.items()
+]
+
+
+@pytest.mark.parametrize("argv, digest", CASES, ids=[" ".join(argv[1:]) for argv, _ in CASES])
+def test_suite_json_is_byte_identical(argv, digest, capsys):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

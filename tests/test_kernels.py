@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homrec import kernels
-from homrec.coloring import Coloring, EdgeSet, hom_signature, pair_count
+from homrec.coloring import Coloring, EdgeSet, hom_signature, pair_count, restrict
+from homrec.critical import find_critical_pairs
 from homrec.reconstruct import is_valid_difference
 from homrec.structure import find_claw
 
@@ -112,6 +113,22 @@ def test_claw_table_matches_scalar_search():
     clawed = kernels.has_claw_mask(5, kernels.all_masks(5))
     for mask in range(1 << 10):
         assert bool(clawed >> mask & 1) == (find_claw(EdgeSet(5, mask)) is not None), mask
+
+
+@given(st.integers(3, 8).flatmap(lambda n: st.tuples(
+    st.just(n), _masks(n), st.sets(st.integers(0, n - 1), min_size=3, max_size=n)
+)))
+@settings(max_examples=60)
+def test_critical_rows_match_the_scalar_scan(case):
+    """Criticality on the restriction to a vertex set, and on all of them."""
+    n, masks, subset = case
+    columns = kernels.columns_of(n, masks)
+    for verts in (tuple(sorted(subset)), tuple(range(n))):
+        rows = kernels.critical_rows(n, columns, verts)
+        for j, bits in enumerate(masks):
+            local = find_critical_pairs(restrict(Coloring(n, bits), verts))
+            expected = {(verts[x], verts[y]) for x, y in local}
+            assert {pair for pair, row in rows.items() if row >> j & 1} == expected
 
 
 def test_kernels_on_an_empty_batch():

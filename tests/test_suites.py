@@ -1,21 +1,22 @@
 """Verification suites: reduced-scale passes, thread determinism, the
-counterexamples a failing suite reports, and parity and connectivity at
-default scale."""
+counterexamples a failing suite reports, parity and connectivity at
+default scale, and their batch route against the scalar checks."""
 
 import json
 
 import pytest
 
 from homrec import kernels, suites
-from homrec.coloring import Coloring, EdgeSet, pair_count, pair_index
+from homrec.coloring import Coloring, EdgeSet, h_equivalent, pair_count, pair_index, restrict
+from homrec.critical import find_critical_pairs
 from homrec.errors import ConsistencyError
+from homrec.reconstruct import is_valid_difference
 from homrec.structure import (
-    ParityReport,
-    ParityViolation,
     _chordless_paths,
     check_parity_lemmas,
     check_parity_paths,
     components,
+    hom_color_uniform,
 )
 from homrec.suites import (
     SUITES,
@@ -131,7 +132,8 @@ def test_claws_names_the_least_clawed_difference(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# parity and connectivity: per-D facts are shared, per-(phi, D) checks are not
+# parity and connectivity: one D against a batch of colorings, failures
+# still named case by case
 
 
 def test_parity_and_connectivity_at_default_scale():
@@ -190,20 +192,22 @@ def _owners(d: int) -> list[int]:
 
 
 def test_parity_names_only_the_coloring_whose_law_fails(monkeypatch):
-    # D = {01, 04} is a path of every one of its 32 colorings; the law is
-    # broken for the second of them only
+    # D = {01, 04} is a path of every one of its 32 colorings; the batch
+    # route breaks the law for the second of them only
     phi_bits, d = 0x2B, 0x41
     owners = _owners(d)
     assert len(owners) == 32 and owners[0] < phi_bits < owners[-1]
     paths = tuple(_chordless_paths(EdgeSet(5, d)))
-    original = suites.check_parity_paths
+    original = suites._parity_violations
 
-    def patched(phi, given, count):
-        if phi.bits == phi_bits and given == paths:
-            return ParityReport(False, count, 1, ParityViolation("endpoint-edges", paths[0], ""))
-        return original(phi, given, count)
+    def patched(n, columns, given):
+        first = original(n, columns, given)
+        if given != paths:
+            return first
+        hit = _entries(columns, phi_bits)
+        return first[0] | hit, first[1] & ~hit, first[2] & ~hit
 
-    monkeypatch.setattr(suites, "check_parity_paths", patched)
+    monkeypatch.setattr(suites, "_parity_violations", patched)
     result = run_suite("parity", max_m=6)
     assert not result.ok
     assert result.failures == [f"n=5 phi={phi_bits:#x} D={d:#x} lemma=endpoint-edges"]
@@ -215,18 +219,185 @@ def test_connectivity_names_only_the_coloring_whose_restriction_fails(monkeypatc
     phi_bits, d, first = 0xD6, 0xC, 0x8
     owners = _owners(d)
     assert len(owners) == 32 and owners[0] < phi_bits < owners[-1]
-    original = suites.is_valid_difference
+    original = kernels.valid_for_phi
     last = [None]
 
-    def patched(phi, edges):
+    def patched(n, phi, masks):
+        verdict = original(n, phi, masks)
         # {03} is a valid difference in its own right: reject it only where
-        # it is asked right after D's own check, as D's restriction
-        asked, last[0] = last[0], (phi.bits, edges.mask)
-        if last[0] == (phi_bits, first) and asked == (phi_bits, d):
-            return False
-        return original(phi, edges)
+        # it is asked right after D's own check, as D's restriction (each
+        # check asks one difference set of every entry alike)
+        asked, last[0] = last[0], sum(1 << i for i, column in enumerate(masks) if column)
+        if n == 5 and (asked, last[0]) == (d, first):
+            verdict ^= _entries(phi, phi_bits)
+        return verdict
 
-    monkeypatch.setattr(suites, "is_valid_difference", patched)
+    monkeypatch.setattr(kernels, "valid_for_phi", patched)
     result = run_suite("connectivity", samples=0)
     assert not result.ok
     assert result.failures == [f"n=5 phi={phi_bits:#x} D={d:#x}: component restriction invalid"]
+
+
+@pytest.mark.parametrize("batch", [suites._BATCH, 3])
+def test_parity_reports_the_first_failing_cases_in_scan_order(batch, monkeypatch):
+    # the batch route breaks a law wherever phi colors pair 3 with 1 and D
+    # has a single path (in its two directions); the first five such cases
+    # span three colorings, and with three colorings per batch, batches
+    original = suites._parity_violations
+
+    def patched(n, columns, given):
+        first = original(n, columns, given)
+        if len(given) != 2:
+            return first
+        return first[0] & ~columns[3], first[1] | columns[3], first[2] & ~columns[3]
+
+    monkeypatch.setattr(suites, "_BATCH", batch)
+    monkeypatch.setattr(suites, "_parity_violations", patched)
+    expected = [
+        f"n=5 phi={phi:#x} D={d:#x} lemma=anchored-distance"
+        for phi, valid in _valid_masks_by_phi(5, range(1 << pair_count(5)))
+        if phi >> 3 & 1
+        for d in valid
+        if len(tuple(_chordless_paths(EdgeSet(5, d)))) == 2
+    ]
+    assert len({message.split()[1] for message in expected[:5]}) == 3
+    assert run_suite("parity", max_m=6).failures == expected[:5]
+
+
+def test_connectivity_names_the_owners_of_a_misshapen_difference(monkeypatch):
+    # a shape law fails for D = {01, 04} alone, so for each of its owners
+    d = 0x41
+    original = suites._difference_facts
+
+    def patched(n, mask):
+        uniform, shape, parts = original(n, mask)
+        return (True, ("degree > 2",), parts) if (n, mask) == (5, d) else (uniform, shape, parts)
+
+    monkeypatch.setattr(suites, "_difference_facts", patched)
+    result = run_suite("connectivity", samples=0)
+    assert result.failures == [f"n=5 phi={phi:#x} D={d:#x}: degree > 2" for phi in _owners(d)[:5]]
+
+
+@pytest.mark.parametrize("batch", [suites._BATCH, 3])
+def test_connectivity_reports_the_first_failing_cases_in_scan_order(batch, monkeypatch):
+    # every pair is critical on every restriction and nowhere globally, so
+    # each difference edge of a component of 3 or more vertices is flagged
+    original = kernels.critical_rows
+
+    def patched(n, columns, vertices):
+        # the suite asks the whole vertex range for global criticality
+        rows = original(n, columns, vertices)
+        return {pair: 0 if isinstance(vertices, range) else -1 for pair in rows}
+
+    monkeypatch.setattr(suites, "_BATCH", batch)
+    monkeypatch.setattr(kernels, "critical_rows", patched)
+    expected = []
+    for phi, valid in _valid_masks_by_phi(5, range(1 << pair_count(5))):
+        for d in valid:
+            diff = EdgeSet(5, d)
+            for comp in components(diff):
+                if len(comp.vertices) >= 3:
+                    expected += [
+                        f"n=5 phi={phi:#x} D={d:#x}: pair ({x},{y}) critical locally only"
+                        for x, y in diff.within(comp.vertices).members()
+                    ]
+        if len(expected) >= 5:
+            break
+    assert run_suite("connectivity", samples=0).failures == expected[:5]
+
+
+# ---------------------------------------------------------------------------
+# the batch route of parity and connectivity against the scalar checks
+
+_SAMPLED = _sample_masks(6, 40, 9)
+AGREEMENT = pytest.mark.parametrize(
+    "n, phis",
+    [
+        (3, range(1 << 3)),
+        (4, range(1 << 6)),
+        (5, range(1 << 10)),
+        (6, _SAMPLED),
+        (6, []),
+        (6, _SAMPLED[:10] + _SAMPLED[4:8] + _SAMPLED[:2]),
+    ],
+    ids=["n3", "n4", "n5", "n6-samples", "n6-no-samples", "n6-repeated"],
+)
+
+
+def _cases(n: int, phis, max_size=None) -> set[tuple[int, int]]:
+    """(index, D) of every case of a scan case by case."""
+    return {
+        (i, d)
+        for i, (_, valid) in enumerate(_valid_masks_by_phi(n, phis))
+        for d in valid
+        if max_size is None or d.bit_count() <= max_size
+    }
+
+
+def _checked(n: int, chunk, d: int, own: int) -> list[int]:
+    """The entries of a batch to hold against the scalar checks: D's
+    owners, and of the others all but at n = 5, where one in 29 is."""
+    stride = 29 if n == 5 else 1
+    return [j for j in range(len(chunk)) if own >> j & 1 or (j + d) % stride == 0]
+
+
+@AGREEMENT
+def test_parity_batch_route_matches_the_scalar_checks(n, phis, monkeypatch):
+    monkeypatch.setattr(suites, "_BATCH", 300)  # several batches at n = 5
+    owned, seen = set(), set()
+    for lo, chunk, d, own, moved, laws in suites._parity_outcomes(n, phis):
+        owned.update((lo + j, d) for j in range(len(chunk)) if own >> j & 1)
+        diff = EdgeSet(n, d)
+        paths, count = tuple(_chordless_paths(diff)), len(components(diff))
+        for j in _checked(n, chunk, d, own):
+            phi = Coloring(n, chunk[j])
+            equivalent = h_equivalent(phi, Coloring(n, chunk[j] ^ d))
+            assert (moved >> j & 1) == (not equivalent)
+            report = check_parity_paths(phi, paths, count)
+            broken = [lemma for lemma, law in zip(suites._LAWS, laws) if law >> j & 1]
+            assert broken == ([] if report.ok else [report.violation.lemma])
+            seen.update(broken)
+    assert owned == _cases(n, phis)
+    if n == 5:
+        assert seen == set(suites._LAWS)
+
+
+@AGREEMENT
+def test_connectivity_batch_route_matches_the_scalar_checks(n, phis, monkeypatch):
+    monkeypatch.setattr(suites, "_BATCH", 300)  # several batches at n = 5
+    max_size = 8 if n == 6 else None
+    owned = set()
+    flagged = 0
+    for lo, chunk, d, own, valid, uniform, checks in suites._connectivity_outcomes(
+        n, phis, max_size
+    ):
+        owned.update((lo + j, d) for j in range(len(chunk)) if own >> j & 1)
+        diff = EdgeSet(n, d)
+        comps = components(diff)
+        assert uniform == (hom_color_uniform(diff.indicator()) == 0)
+        # D's shape laws come first and, failing, fail for every coloring
+        shape = suites._difference_facts(n, d)[1] if uniform else ()
+        assert checks[: len(shape)] == [(-1, problem) for problem in shape]
+        for j in _checked(n, chunk, d, own):
+            phi = Coloring(n, chunk[j])
+            assert (valid >> j & 1) == is_valid_difference(phi, diff)
+            critical = find_critical_pairs(phi)
+            expected = []
+            for comp in comps:
+                verts = tuple(sorted(comp.vertices))
+                part = diff.within(verts)
+                if len(comps) > 1:
+                    invalid = not is_valid_difference(phi, part)
+                    expected.append((invalid, "component restriction invalid"))
+                if len(verts) < 3:
+                    continue
+                local = find_critical_pairs(restrict(phi, verts))
+                for x, y in part.members():
+                    only = (verts.index(x), verts.index(y)) in local and (x, y) not in critical
+                    expected.append((only, f"pair ({x},{y}) critical locally only"))
+            actual = [(bool(fails >> j & 1), problem) for fails, problem in checks[len(shape) :]]
+            assert actual == expected
+            flagged += sum(failed for failed, _ in expected)
+    assert owned == _cases(n, phis, max_size)
+    if n == 5:
+        assert flagged

@@ -156,18 +156,27 @@ def is_critical_cycle(
     return CriticalCycleWitness(quad, orientation, EdgeSet.from_pairs(phi.n, cycle_pairs))
 
 
-def find_critical_cycles(phi: Coloring) -> list[CriticalCycleWitness]:
+def find_critical_cycles(phi: Coloring, *, last_only: bool = False) -> list[CriticalCycleWitness]:
     """All critical cycles, one witness per edge set.
 
     Each 4-subset {w < x < y < z} carries three distinct 4-cycles; each
     is tested once in its canonical arrangement (smallest vertex first,
     proceeding toward its smaller neighbor), which covers the whole
     dihedral orbit because reflections merely swap the two orientations.
+
+    With ``last_only`` only the 4-subsets that contain the last vertex
+    n - 1 are visited, in the same order and arrangements: the result is
+    the full scan's, filtered to quads containing n - 1.
     """
     if phi.n < 5:
         raise TooSmallError(f"critical-cycle scan needs n >= 5, got {phi.n}")
     found: list[CriticalCycleWitness] = []
-    for w, x, y, z in combinations(range(phi.n), 4):
+    if last_only:
+        last = phi.n - 1
+        quads = (triple + (last,) for triple in combinations(range(last), 3))
+    else:
+        quads = combinations(range(phi.n), 4)
+    for w, x, y, z in quads:
         for quad in ((w, x, y, z), (w, x, z, y), (w, y, x, z)):
             witness = is_critical_cycle(phi, quad)
             if witness is not None:

@@ -12,8 +12,11 @@ cases by D over batches of colorings and check D against all of its
 owners in a batch at once: each check on the coloring is one expression
 over the batch's pair columns, one bit per coloring, and the owners' bits
 are read off it.  What depends on D alone (its paths, components and
-shape) is worked out once per D and run.  Failures are still named in
-the order of a scan case by case: coloring, then D, then check.
+shape) is worked out once per D and run.  A coloring and its complement
+have the same homogeneous triples, and so the same valid differences and
+critical pairs: parity, r-sweep and connectivity run one search for each
+complementary pair that meets within a batch.  Failures are still named
+in the order of a scan case by case: coloring, then D, then check.
 
 Suites:
 
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import islice
 from typing import Optional
 
@@ -204,10 +208,19 @@ def suite_oracle(
     )
 
 
-def _valid_masks_by_phi(n: int, phis) -> list[tuple[int, list[int]]]:
-    """(phi, its non-trivial valid difference masks in numeric order) for
-    each coloring, from the pair-class search."""
-    return [(phi, sorted(_reconstruction_masks(Coloring(n, phi)))) for phi in phis]
+def _complement_shared(n: int, phis, fact):
+    """(phi, fact(phi)) for each coloring of ``phis`` in order, where
+    ``fact`` takes the same value on a coloring and its complement: it is
+    computed once per complementary pair, and a value is kept only while
+    the complement it stands for is still to come."""
+    top = (1 << pair_count(n)) - 1
+    last = {phi: j for j, phi in enumerate(phis)}
+    kept: dict = {}
+    for j, phi in enumerate(phis):
+        value = kept.pop(phi) if phi in kept else fact(phi)
+        if last.get(phi ^ top, -1) > j:
+            kept[phi ^ top] = value
+        yield phi, value
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +273,14 @@ def _owner_batches(n: int, phis, max_size: Optional[int] = None):
     """The colorings ``phis`` in batches of at most ``_BATCH``, each as its
     first index in ``phis``, its colorings, their pair columns and, per
     non-trivial valid difference D (of at most ``max_size`` pairs) of an
-    entry, the mask of the entries that own D."""
+    entry, the mask of the entries that own D.  Complementary entries of a
+    batch share one search."""
     for lo in range(0, len(phis), _BATCH):
         chunk = phis[lo : lo + _BATCH]
         owners: dict[int, int] = {}
-        for j, phi in enumerate(chunk):
-            for d in _reconstruction_masks(Coloring(n, phi)):
+        searched = _complement_shared(n, chunk, lambda phi: _reconstruction_masks(Coloring(n, phi)))
+        for j, (_, nontrivial) in enumerate(searched):
+            for d in nontrivial:
                 if max_size is None or d.bit_count() <= max_size:
                     owners[d] = owners.get(d, 0) | 1 << j
         yield lo, chunk, kernels.columns_of(n, chunk), owners
@@ -298,33 +313,39 @@ class _FirstCases:
 _LAWS = ("endpoint-edges", "anchored-distance", "sliding-window")
 
 
-def _parity_violations(n: int, columns, paths) -> tuple[int, int, int]:
+def _path_terms(p: tuple[int, ...]) -> tuple:
+    """The pair indices the parity laws read along the path p with k
+    edges: -1 when k is odd (else 0), its end edges, {x0,x2} and
+    {x0,xk}, and per window x_i..x_{i+3} the pairs {x_i,x_{i+2}},
+    {x_i,x_{i+3}} and {x_{i+1},x_{i+3}}."""
+
+    def ix(x: int, y: int) -> int:
+        return pair_index(x, y) if x < y else pair_index(y, x)
+
+    k = len(p) - 1
+    windows = tuple(
+        (ix(p[i], p[i + 2]), ix(p[i], p[i + 3]), ix(p[i + 1], p[i + 3])) for i in range(k - 2)
+    )
+    return -(k % 2), ix(p[0], p[1]), ix(p[-2], p[-1]), ix(p[0], p[2]), ix(p[0], p[-1]), windows
+
+
+def _parity_violations(columns, paths) -> tuple[int, int, int]:
     """Batch form of ``structure.check_parity_paths``: per law of
-    ``_LAWS``, the entries whose first violation along ``paths`` (in
-    order, each law in turn) breaks that law."""
-
-    def col(x: int, y: int) -> int:
-        return columns[pair_index(x, y) if x < y else pair_index(y, x)]
-
+    ``_LAWS``, the entries whose first violation along ``paths`` (each
+    given by its ``_path_terms``, in order, each law in turn) breaks that
+    law."""
     first = [0, 0, 0]
     broken = 0
-    for p in paths:
-        k = len(p) - 1
-        odd = -(k % 2)  # every bit set when k is odd
+    for odd, head, tail, near, far, windows in paths:
+        base = columns[near]
         window = 0
-        if k >= 3:
-            base = col(p[0], p[2])
-            for i in range(k - 2):
-                window |= (
-                    (col(p[i], p[i + 2]) ^ base)
-                    | ~(col(p[i], p[i + 3]) ^ base)
-                    | (col(p[i + 1], p[i + 3]) ^ base)
-                )
+        for i, j, m in windows:
+            window |= (columns[i] ^ base) | ~(columns[j] ^ base) | (columns[m] ^ base)
         laws = (
             # the end edges differ iff k is even
-            ~(col(p[0], p[1]) ^ col(p[-2], p[-1]) ^ odd),
+            ~(columns[head] ^ columns[tail] ^ odd),
             # phi{x0,x2} = phi{x0,xk} iff k is even
-            col(p[0], p[2]) ^ col(p[0], p[-1]) ^ odd,
+            base ^ columns[far] ^ odd,
             window,
         )
         for i, fails in enumerate(laws):
@@ -340,7 +361,8 @@ def _parity_outcomes(n: int, phis):
     owner mask, the entries phi for which phi ^ D is not H-equivalent to
     phi, and per law of ``_LAWS`` the entries that break it first.  Every
     entry of a batch is checked; the suite reads the owners."""
-    paths_of: dict[int, tuple[tuple[int, ...], ...]] = {}
+    terms = cache(_path_terms)  # one per path, shared by the D that have it
+    paths_of: dict[int, tuple[tuple, ...]] = {}  # per D, its paths' terms
     for lo, chunk, columns, owners in _owner_batches(n, phis):
         full = (1 << len(chunk)) - 1
         rows = kernels.hom_projection_rows(n, columns)
@@ -352,8 +374,8 @@ def _parity_outcomes(n: int, phis):
             for a, b in zip(rows, flipped):
                 moved |= a ^ b
             if d not in paths_of:
-                paths_of[d] = tuple(_chordless_paths(EdgeSet(n, d)))
-            laws = _parity_violations(n, columns, paths_of[d])
+                paths_of[d] = tuple(map(terms, _chordless_paths(EdgeSet(n, d))))
+            laws = _parity_violations(columns, paths_of[d])
             yield lo, chunk, d, owners[d], moved, laws
 
 
@@ -439,10 +461,15 @@ def suite_r_sweep(
 
     def sweep(n: int, phis) -> None:
         nonlocal cases
-        for phi_bits, nontrivial in _valid_masks_by_phi(n, phis):
-            cases += 1
+        connected: dict[int, bool] = {}  # per minimal witness D
+
+        def facts(phi_bits: int) -> tuple[list[int], bool]:
+            # B-sets, and so critical pairs, do not change under complementation
             phi = Coloring(n, phi_bits)
-            has_pair = bool(find_critical_pairs(phi))
+            return sorted(_reconstruction_masks(phi)), bool(find_critical_pairs(phi))
+
+        for phi_bits, (nontrivial, has_pair) in _complement_shared(n, phis, facts):
+            cases += 1
             if not nontrivial:
                 distribution["in_R"] = distribution.get("in_R", 0) + 1
                 if has_pair and len(failures) < _MAX_FAILURES:
@@ -460,7 +487,9 @@ def suite_r_sweep(
             for d in nontrivial:
                 if d.bit_count() != r:
                     continue
-                if len(components(EdgeSet(n, d))) != 1 and len(failures) < _MAX_FAILURES:
+                if d not in connected:
+                    connected[d] = len(components(EdgeSet(n, d))) == 1
+                if not connected[d] and len(failures) < _MAX_FAILURES:
                     failures.append(
                         f"n={n} phi={phi_bits:#x} minimal witness {d:#x} disconnected"
                     )
@@ -605,16 +634,16 @@ def suite_alpha(nmax: int = 20) -> SuiteResult:
         6,
         [(1, 2), (0, 3), (1, 3), (2, 3), (1, 4), (2, 4), (0, 5), (1, 5), (2, 5), (4, 5)],
     )
+    alphas = {m: alpha_coloring(m) for m in range(3, nmax + 1)}
     cases += 1
-    if alpha_coloring(6) != expected:
+    if alphas[6] != expected:
         _note(failures, "alpha(6) differs from the reference drawing")
 
     # restriction consistency: alpha(m) is a prefix of alpha(n)
-    for n in range(3, nmax + 1):
-        big = alpha_coloring(n)
+    for n, big in alphas.items():
         for m in range(3, n + 1):
             cases += 1
-            if restrict(big, list(range(m))) != alpha_coloring(m):
+            if restrict(big, list(range(m))) != alphas[m]:
                 _note(failures, f"alpha({m}) is not the prefix of alpha({n})")
     return SuiteResult("alpha", not failures, cases, scale, {}, failures)
 

@@ -1,10 +1,12 @@
 """Critical pairs, critical cycles, B-sets, flips."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homrec.coloring import Coloring, EdgeSet, h_equivalent, pair_count, pairs_of
+from homrec.coloring import Coloring, EdgeSet, h_equivalent, pair_count, pairs_of, restrict
 from homrec.critical import (
     Orientation,
     b_set,
@@ -22,6 +24,7 @@ from homrec.errors import (
     InvalidSubsetError,
     TooSmallError,
 )
+from homrec.fixtures import fig_critical_cycle, fig_no_critical_pair, fig_two_cycles
 from homrec.srcheck import alpha_coloring
 
 
@@ -165,6 +168,71 @@ def test_pairs_on_found_cycles_have_singleton_b_sets(two_cycles, no_critical_pai
         for w in find_critical_cycles(phi):
             for pair in w.edges.members():
                 assert len(b_set(phi, pair)) == 1
+
+
+# the scan of the quads that contain the last vertex
+
+FIGURES = {
+    "fig-critical-cycle": fig_critical_cycle(),
+    "fig-two-cycles": fig_two_cycles(),
+    "fig-no-critical-pair(6)": fig_no_critical_pair(6),
+}
+
+
+def _seeded(n: int, count: int, seed: int) -> list[Coloring]:
+    rng = random.Random(seed * 1_000_003 + n)
+    return [Coloring(n, rng.getrandbits(pair_count(n))) for _ in range(count)]
+
+
+def _last_quads(phi: Coloring) -> list:
+    return [w for w in find_critical_cycles(phi) if phi.n - 1 in w.quad]
+
+
+@pytest.mark.parametrize(
+    "phis",
+    [
+        [Coloring(5, bits) for bits in range(1 << pair_count(5))],
+        [phi for n in (6, 7, 8, 9) for phi in _seeded(n, 60, 12)],
+        list(FIGURES.values()),
+    ],
+    ids=["n5-all", "n6-9-seeded", "figures"],
+)
+def test_last_only_scan_is_the_full_scan_filtered_to_the_last_vertex(phis):
+    kept = dropped = 0
+    for phi in phis:
+        full = find_critical_cycles(phi)
+        last = find_critical_cycles(phi, last_only=True)
+        assert last == [w for w in full if phi.n - 1 in w.quad]
+        kept += len(last)
+        dropped += len(full) - len(last)
+    # the filter keeps some witnesses and drops others
+    assert kept and dropped
+
+
+def _extensions(phi: Coloring):
+    """phi extended by one vertex n, joined to the others in all 2^n ways."""
+    for row in range(1 << phi.n):
+        psi = Coloring(phi.n + 1, phi.bits | row << pair_count(phi.n))
+        assert restrict(psi, range(phi.n)) == phi
+        yield psi
+
+
+@pytest.mark.parametrize(
+    "phi", [*FIGURES.values(), alpha_coloring(7)], ids=[*FIGURES, "alpha(7)"]
+)
+def test_a_critical_cycle_avoiding_the_last_vertex_is_one_of_the_restriction(phi):
+    own = {(w.quad, w.orientation) for w in find_critical_cycles(phi)}
+    survived = died = 0
+    for psi in _extensions(phi):
+        full = find_critical_cycles(psi)
+        avoiding = {(w.quad, w.orientation) for w in full if phi.n not in w.quad}
+        assert avoiding <= own
+        survived += len(avoiding)
+        died += len(own - avoiding)
+        if not own:
+            # so a cycle-free restriction leaves only the last vertex's quads
+            assert full == find_critical_cycles(psi, last_only=True)
+    assert survived and died if own else not survived
 
 
 # ---------------------------------------------------------------------------

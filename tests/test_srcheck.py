@@ -28,7 +28,7 @@ from homrec.errors import (
     TooSmallError,
 )
 from homrec.fixtures import fig_two_cycles, partition_coloring, random_coloring
-from homrec.critical import flip_reconstruction
+from homrec.critical import find_critical_cycles, flip_reconstruction
 from homrec.reconstruct import is_valid_difference
 from homrec.srcheck import (
     alpha_coloring,
@@ -116,6 +116,78 @@ def test_verify_alpha_specific_families():
 
     assert is_critical_pair(alpha_coloring(6), (0, 5))
     assert find_critical_cycles(alpha_coloring(8)) == []
+
+
+def _alpha_reports(monkeypatch, family, nmax: int):
+    """verify_alpha with ``family(n)`` as alpha(n): the report with its own
+    scans, the report with a full scan at every n, and per n whether its
+    own scan of check (a) took only the last vertex's quads."""
+    original = homrec.srcheck.find_critical_cycles
+    short = {}
+
+    def recording(phi, *, last_only=False):
+        short[phi.n] = last_only
+        return original(phi, last_only=last_only)
+
+    monkeypatch.setattr(homrec.srcheck, "alpha_coloring", lambda n, seed=0: family(n))
+    monkeypatch.setattr(homrec.srcheck, "find_critical_cycles", recording)
+    own = verify_alpha(nmax)
+    monkeypatch.setattr(
+        homrec.srcheck, "find_critical_cycles", lambda phi, *, last_only=False: original(phi)
+    )
+    return own, verify_alpha(nmax), short
+
+
+def _cycle_failures(report) -> list[str]:
+    return [msg for msg in report.failures if msg.startswith("(a)")]
+
+
+# alpha(6) extended by vertex 6, joined in color 1 to 3 and 4 only, has the
+# critical cycle 0-4-6-5; each later vertex z keeps it, seeing 0 and 6 in
+# color 0 and 4 and 5 in color 1 (and the rest in color 0)
+_PLANTED = Coloring(7, alpha_coloring(6).bits | 0b11000 << pair_count(6))
+_KEEPER = 1 << 4 | 1 << 5
+
+
+def _planted(n: int) -> Coloring:
+    """alpha(n) up to n = 6, then _PLANTED and its extensions."""
+    if n < 7:
+        return alpha_coloring(n)
+    rows = sum(_KEEPER << pair_count(z) for z in range(7, n))
+    return Coloring(n, _PLANTED.bits | rows)
+
+
+def test_verify_alpha_scans_only_the_new_quads_of_a_cycle_free_prefix(monkeypatch):
+    own, full, short = _alpha_reports(monkeypatch, alpha_coloring, 20)
+    assert own == full and own.ok
+    assert short == {n: n > 5 for n in range(5, 21)}
+
+
+def test_verify_alpha_rescans_in_full_after_a_critical_cycle(monkeypatch):
+    assert [w.quad for w in find_critical_cycles(_planted(7))] == [(0, 4, 6, 5)]
+    for n in range(8, 13):
+        assert restrict(_planted(n), range(n - 1)) == _planted(n - 1)
+    own, full, short = _alpha_reports(monkeypatch, _planted, 12)
+    assert own == full
+    # the cycle appears at n = 7, found among that truncation's new quads,
+    # and persists while avoiding every later vertex
+    assert _cycle_failures(own) == [
+        f"(a) n={n}: unexpected critical cycle" for n in range(7, 13)
+    ]
+    assert short == {n: n in (6, 7) for n in range(5, 13)}
+
+
+def test_verify_alpha_rescans_in_full_when_the_prefix_breaks(monkeypatch):
+    def family(n: int) -> Coloring:
+        # alpha(8) replaced by a coloring whose prefix is not alpha(7) and
+        # whose critical cycle avoids vertex 7
+        return _planted(8) if n == 8 else alpha_coloring(n)
+
+    assert restrict(family(8), range(7)) != family(7)
+    own, full, short = _alpha_reports(monkeypatch, family, 12)
+    assert own == full
+    assert _cycle_failures(own) == ["(a) n=8: unexpected critical cycle"]
+    assert short == {n: n not in (5, 8, 9) for n in range(5, 13)}
 
 
 def test_verify_alpha_needs_enough_vertices():

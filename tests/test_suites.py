@@ -10,7 +10,7 @@ from homrec import kernels, suites
 from homrec.coloring import Coloring, EdgeSet, h_equivalent, pair_count, pair_index, restrict
 from homrec.critical import find_critical_pairs
 from homrec.errors import ConsistencyError
-from homrec.reconstruct import is_valid_difference
+from homrec.reconstruct import _reconstruction_masks, is_valid_difference
 from homrec.structure import (
     _chordless_paths,
     check_parity_lemmas,
@@ -21,11 +21,17 @@ from homrec.structure import (
 from homrec.suites import (
     SUITES,
     _sample_masks,
-    _valid_masks_by_phi,
     run_suite,
     suite_claws,
     suite_oracle,
 )
+
+def _valid_masks_by_phi(n: int, phis) -> list[tuple[int, list[int]]]:
+    """(phi, its non-trivial valid difference masks in numeric order) per
+    coloring, one search each: the reference for the suites' searches,
+    which complementary colorings share."""
+    return [(phi, sorted(_reconstruction_masks(Coloring(n, phi)))) for phi in phis]
+
 
 SMALL_SCALES = {
     "oracle": dict(samples=200),
@@ -175,6 +181,118 @@ def test_parity_wrapper_matches_the_laws_over_shared_paths():
             )
 
 
+def test_complementary_colorings_have_the_same_search_results():
+    for n, phis in [(5, range(1 << pair_count(5)))] + [
+        (n, _sample_masks(n, 30, 12)) for n in (6, 7, 8)
+    ]:
+        for bits in phis:
+            phi = Coloring(n, bits)
+            assert _reconstruction_masks(phi) == _reconstruction_masks(phi.complement())
+
+
+def test_complement_shared_computes_once_per_complementary_pair():
+    top = (1 << pair_count(4)) - 1
+    a, b = 0x05, 0x2A
+    phis = [a, top ^ a, a, b, top ^ a, b]
+    calls = []
+
+    def fact(phi: int) -> int:
+        calls.append(phi)
+        return min(phi, top ^ phi)
+
+    shared = list(suites._complement_shared(4, phis, fact))
+    assert shared == [(phi, min(phi, top ^ phi)) for phi in phis]
+    # a value is kept only for a complement still to come, not for repeats
+    assert calls == [a, b, b]
+
+
+def test_owner_batches_search_each_complementary_pair_once(monkeypatch):
+    searched = []
+    original = suites._reconstruction_masks
+
+    def counting(phi):
+        searched.append(phi.bits)
+        return original(phi)
+
+    monkeypatch.setattr(suites, "_reconstruction_masks", counting)
+    list(suites._owner_batches(5, range(1 << pair_count(5))))
+    assert searched == list(range(512))
+    # complements meet only within a batch: of [0, 600), those in [424, 600)
+    # pair up; [600, 1024) holds no complementary pair
+    searched.clear()
+    monkeypatch.setattr(suites, "_BATCH", 600)
+    list(suites._owner_batches(5, range(1 << pair_count(5))))
+    assert searched == list(range(512)) + list(range(600, 1024))
+
+
+def _minimal_witnesses(n: int, phis) -> list[tuple[int, list[int]]]:
+    """(phi, its minimal non-trivial valid differences) per coloring that
+    has any."""
+    found = []
+    for phi, valid in _valid_masks_by_phi(n, phis):
+        if valid:
+            r = min(d.bit_count() for d in valid)
+            found.append((phi, [d for d in valid if d.bit_count() == r]))
+    return found
+
+
+def test_r_sweep_shares_a_critical_pair_scan_with_the_complement(monkeypatch):
+    # phi's scan is patched to miss its critical pairs; its complement
+    # reads phi's scan, while colorings met before phi keep their own
+    top = (1 << pair_count(5)) - 1
+    witnessed = _minimal_witnesses(5, range(1 << pair_count(5)))
+    phi = next(phi for phi, minimal in witnessed if minimal[0].bit_count() == 1)  # r = 1
+    assert phi < top ^ phi
+    scanned = []
+    original = suites.find_critical_pairs
+
+    def patched(coloring):
+        scanned.append(coloring.bits)
+        return [] if coloring.bits == phi else original(coloring)
+
+    monkeypatch.setattr(suites, "find_critical_pairs", patched)
+    result = run_suite("r-sweep", samples=0)
+    assert result.failures == [
+        f"n=5 phi={bits:#x}: r=1 but critical pair False" for bits in (phi, top ^ phi)
+    ]
+    assert scanned == list(range(512))
+
+
+def test_r_sweep_checks_each_minimal_witness_once(monkeypatch):
+    # D = {01} is patched to fall apart; every coloring it is a minimal
+    # witness of is named, in scan order, from one components call
+    d = 0x1
+    witnessed = _minimal_witnesses(5, range(1 << pair_count(5)))
+    owners = [phi for phi, minimal in witnessed if d in minimal]
+    asked = []
+    original = suites.components
+
+    def patched(diff):
+        asked.append(diff.mask)
+        return original(diff) * 2 if diff.mask == d else original(diff)
+
+    monkeypatch.setattr(suites, "components", patched)
+    result = run_suite("r-sweep", samples=0)
+    assert len(owners) > 5
+    assert result.failures == [
+        f"n=5 phi={phi:#x} minimal witness {d:#x} disconnected" for phi in owners[:5]
+    ]
+    assert sorted(asked) == sorted({m for _, minimal in witnessed for m in minimal})
+
+
+def test_alpha_suite_builds_each_truncation_once(monkeypatch):
+    built = []
+    original = suites.alpha_coloring
+
+    def counting(n: int, seed: int = 0):
+        built.append(n)
+        return original(n, seed)
+
+    monkeypatch.setattr(suites, "alpha_coloring", counting)
+    assert run_suite("alpha", nmax=12).ok
+    assert built == list(range(3, 13))
+
+
 @pytest.mark.parametrize(
     "name, scale",
     [("parity", dict(n=4, max_m=6)), ("connectivity", dict(n_exhaustive=4, samples=0))],
@@ -197,11 +315,11 @@ def test_parity_names_only_the_coloring_whose_law_fails(monkeypatch):
     phi_bits, d = 0x2B, 0x41
     owners = _owners(d)
     assert len(owners) == 32 and owners[0] < phi_bits < owners[-1]
-    paths = tuple(_chordless_paths(EdgeSet(5, d)))
+    paths = tuple(map(suites._path_terms, _chordless_paths(EdgeSet(5, d))))
     original = suites._parity_violations
 
-    def patched(n, columns, given):
-        first = original(n, columns, given)
+    def patched(columns, given):
+        first = original(columns, given)
         if given != paths:
             return first
         hit = _entries(columns, phi_bits)
@@ -245,8 +363,8 @@ def test_parity_reports_the_first_failing_cases_in_scan_order(batch, monkeypatch
     # span three colorings, and with three colorings per batch, batches
     original = suites._parity_violations
 
-    def patched(n, columns, given):
-        first = original(n, columns, given)
+    def patched(columns, given):
+        first = original(columns, given)
         if len(given) != 2:
             return first
         return first[0] & ~columns[3], first[1] | columns[3], first[2] & ~columns[3]
@@ -319,8 +437,9 @@ AGREEMENT = pytest.mark.parametrize(
         (6, _SAMPLED),
         (6, []),
         (6, _SAMPLED[:10] + _SAMPLED[4:8] + _SAMPLED[:2]),
+        (6, _SAMPLED[:8] + [0x7FFF ^ m for m in _SAMPLED[:8]] + _SAMPLED[2:4]),
     ],
-    ids=["n3", "n4", "n5", "n6-samples", "n6-no-samples", "n6-repeated"],
+    ids=["n3", "n4", "n5", "n6-samples", "n6-no-samples", "n6-repeated", "n6-complements"],
 )
 
 

@@ -49,6 +49,7 @@ __all__ = [
     "h_equivalent",
     "hom_sets",
     "hom_signature",
+    "hom_triple_count",
     "hom_triple_counts",
     "pair_count",
     "pair_index",
@@ -348,12 +349,12 @@ class EdgeSet:
 
     def within(self, vertices: Iterable[int]) -> "EdgeSet":
         """The sub-edge-set of members with both endpoints in ``vertices``."""
-        vs = set(vertices)
+        # the pairs {x, y} with x < y, both in S, fill bits y(y-1)/2 + x
+        inside = sum(1 << v for v in set(vertices) if 0 <= v < self.n)
         mask = 0
-        for i, (x, y) in enumerate(pairs_of(self.n)):
-            if (self.mask >> i) & 1 and x in vs and y in vs:
-                mask |= 1 << i
-        return EdgeSet(self.n, mask)
+        for y in bits_of(inside):
+            mask |= (inside & ((1 << y) - 1)) << (y * (y - 1) // 2)
+        return EdgeSet(self.n, mask & self.mask)
 
     def vertices(self) -> list[int]:
         """Vertices incident to at least one member edge, ascending."""
@@ -446,23 +447,25 @@ def _color_masks(phi: Coloring, color: int) -> tuple[int, ...]:
     return tuple(full ^ m ^ (1 << x) for x, m in enumerate(phi.nbr))
 
 
-def hom_triple_counts(phi: Coloring) -> tuple[int, int]:
-    """Numbers of homogeneous triples of color 0 and of color 1.
+def hom_triple_count(phi: Coloring, color: int) -> int:
+    """Number of homogeneous triples of ``color``.
 
     A triple x < y < z is homogeneous of color c exactly when z lies
     above y in the common c-neighbourhood of the c-pair {x, y}.
     """
     if phi.n < 3:
         raise TooSmallError(f"homogeneity needs n >= 3, got {phi.n}")
-    counts = []
-    for color in (0, 1):
-        masks = _color_masks(phi, color)
-        count = 0
-        for x, mx in enumerate(masks):
-            for y in bits_of(mx >> (x + 1) << (x + 1)):
-                count += ((mx & masks[y]) >> (y + 1)).bit_count()
-        counts.append(count)
-    return counts[0], counts[1]
+    masks = _color_masks(phi, color)
+    count = 0
+    for x, mx in enumerate(masks):
+        for y in bits_of(mx >> (x + 1) << (x + 1)):
+            count += ((mx & masks[y]) >> (y + 1)).bit_count()
+    return count
+
+
+def hom_triple_counts(phi: Coloring) -> tuple[int, int]:
+    """Numbers of homogeneous triples of color 0 and of color 1."""
+    return hom_triple_count(phi, 0), hom_triple_count(phi, 1)
 
 
 def _maximal_cliques(adj: Sequence[int], min_size: int, found: list[tuple[int, ...]]) -> None:

@@ -21,10 +21,13 @@ the pairs of each homogeneous triple (union-find) splits the pairs into
 classes and every valid difference is a union of classes.  A
 non-homogeneous triple whose pairs a, b share a color and c has the
 other forbids exactly the unions that contain a and b but not c, or c
-but neither a nor b.  The search evaluates those constraints on all 2^k
-unions of k classes at once, bit-sliced on Python ints (bit u of class
-i's column is bit i of u: ``kernels.index_columns``), expands only the
-surviving unions into pair masks and orders them by size, then colex.
+but neither a nor b.  One pass over the triples merges the homogeneous
+ones and keeps the others; once the classes are known, each kept triple
+becomes its class triple, repeats dropped.  The search evaluates those
+constraints on all 2^k unions of k classes at once, bit-sliced on Python
+ints (bit u of class i's column is bit i of u: ``kernels.index_columns``),
+expands only the surviving unions into pair masks and orders them by
+size, then colex.
 It runs through n = 8, where no coloring has more than 18 classes; above
 that only the structural scans apply.
 
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple, Optional
 
-from .coloring import Coloring, EdgeSet, bits_of, pair_count, triple_pairs
+from .coloring import Coloring, EdgeSet, pair_count, triple_pairs
 from .critical import CriticalCycleWitness, find_critical_cycles, find_critical_pairs
 from .errors import (
     BudgetError,
@@ -174,9 +177,11 @@ def is_valid_difference(phi: Coloring, diff: EdgeSet) -> bool:
     return True
 
 
-def _pair_classes(phi: Coloring) -> list[int]:
-    """Pair masks of the classes that phi's homogeneous triples merge,
-    ordered by their lowest pair."""
+def _search_space(phi: Coloring) -> tuple[list[int], set[tuple[int, int, int]]]:
+    """One pass over phi's triples: the pair classes that its homogeneous
+    triples merge, ordered by their lowest pair, and each non-homogeneous
+    triple as its classes (p, q, r), those of its two pairs of one color
+    (p <= q), then of its pair of the other, without repeats."""
     parent = list(range(pair_count(phi.n)))
 
     def find(i: int) -> int:
@@ -186,16 +191,37 @@ def _pair_classes(phi: Coloring) -> list[int]:
         return i
 
     bits = phi.bits
+    mixed = []
     for a, b, c in triple_pairs(phi.n):
-        if bits >> a & 1 == bits >> b & 1 == bits >> c & 1:
-            root = find(a)
-            parent[find(b)] = root
-            parent[find(c)] = root
-    classes: dict[int, int] = {}
-    for i in range(len(parent)):
-        root = find(i)
-        classes[root] = classes.get(root, 0) | 1 << i
-    return list(classes.values())
+        fa = bits >> a & 1
+        if fa == bits >> b & 1:
+            if fa == bits >> c & 1:
+                root = find(a)
+                parent[find(b)] = root
+                parent[find(c)] = root
+            else:
+                mixed.append((a, b, c))
+        elif fa == bits >> c & 1:
+            mixed.append((a, c, b))
+        else:
+            mixed.append((b, c, a))
+    roots = [find(i) for i in range(len(parent))]
+    number = {root: c for c, root in enumerate(dict.fromkeys(roots))}  # by lowest pair
+    of_pair = [number[root] for root in roots]
+    classes = [0] * len(number)
+    for i, c in enumerate(of_pair):
+        classes[c] |= 1 << i
+    constraints = set()
+    for x, y, z in mixed:
+        p, q = of_pair[x], of_pair[y]
+        constraints.add((p, q, of_pair[z]) if p <= q else (q, p, of_pair[z]))
+    return classes, constraints
+
+
+def _pair_classes(phi: Coloring) -> list[int]:
+    """Pair masks of the classes that phi's homogeneous triples merge,
+    ordered by their lowest pair."""
+    return _search_space(phi)[0]
 
 
 def _reconstruction_masks(phi: Coloring) -> list[int]:
@@ -205,37 +231,31 @@ def _reconstruction_masks(phi: Coloring) -> list[int]:
         raise BudgetError(
             f"exhaustive search infeasible for n={phi.n} (ceiling n={EXHAUSTIVE_MAX_N})"
         )
-    classes = _pair_classes(phi)
+    classes, constraints = _search_space(phi)
     k = len(classes)
     if k > _MAX_CLASSES:
         raise ConsistencyError(f"{k} pair classes at n={phi.n}, more than {_MAX_CLASSES}")
-    of_pair = {v: i for i, c in enumerate(classes) for v in bits_of(c)}
-    # each non-homogeneous triple as its classes (p, q, r): the classes of
-    # its two pairs of one color, then of its pair of the other
-    constraints = set()
-    bits = phi.bits
-    for a, b, c in triple_pairs(phi.n):
-        fa, fb, fc = bits >> a & 1, bits >> b & 1, bits >> c & 1
-        if fa == fb == fc:
-            continue
-        x, y, z = (a, b, c) if fa == fb else (a, c, b) if fa == fc else (b, c, a)
-        p, q = sorted((of_pair[x], of_pair[y]))
-        constraints.add((p, q, of_pair[z]))
     # a union breaks the triple when it takes p and q alike and r otherwise
     columns = index_columns(k)
     ok = (1 << (1 << k)) - 1
     for p, q, r in constraints:
-        P, Q, R = columns[p], columns[q], columns[r]
-        ok &= ~(~(P ^ Q) & (P ^ R))
+        P = columns[p]
+        ok &= (P ^ columns[q]) | ~(P ^ columns[r])
     # expand the surviving unions, bar the empty one (0) and the full one
     survivors = bin(ok)[:1:-1]
     full = (1 << k) - 1
     found = []
     u = survivors.find("1", 1, full)
     while u != -1:
-        found.append(sum(classes[i] for i in bits_of(u)))
+        mask, rest = 0, u
+        while rest:
+            low = rest & -rest
+            mask |= classes[low.bit_length() - 1]
+            rest ^= low
+        found.append(mask)
         u = survivors.find("1", u + 1, full)
-    return sorted(found, key=lambda m: (m.bit_count(), m))
+    found.sort(key=lambda m: (m.bit_count(), m))
+    return found
 
 
 def enumerate_reconstructions(

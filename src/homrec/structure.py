@@ -8,6 +8,11 @@ every homogeneous triple of the sum has color 0, each vertex meets at most
 two difference edges and every component is a path or a cycle of even
 length; along such a component the coloring is forced up to two free bits
 (a color and a phase), which is exactly what the generators below produce.
+
+Degrees, components and chordless paths read the vertex masks
+``EdgeSet.adj``: a component is the mask closure of its lowest vertex,
+its kind comes from popcounts, and paths and cycles are walked one lowest
+unseen neighbour at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .coloring import (
     bits_of,
     boolean_sum,
     h_equivalent,
-    hom_triple_counts,
+    hom_triple_count,
     pair_index,
     pairs_of,
 )
@@ -90,65 +95,52 @@ def degree(edges: EdgeSet, x: int) -> int:
     return edges.adj[x].bit_count()
 
 
-def _adjacency(edges: EdgeSet) -> dict[int, list[int]]:
-    """Ascending neighbour lists of the vertices that meet an edge."""
-    return {x: list(bits_of(m)) for x, m in enumerate(edges.adj) if m}
-
-
 def components(edges: EdgeSet) -> list[Component]:
     """Connected components of the incident vertices, classified.
 
     Isolated vertices are excluded (a component has >= 2 vertices).
     Components are ordered by their smallest vertex.
     """
-    adj = _adjacency(edges)
-    seen: set[int] = set()
+    adj = edges.adj
+    left = sum(1 << x for x, m in enumerate(adj) if m)
     comps: list[Component] = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        stack = [start]
-        verts = {start}
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in verts:
-                    verts.add(w)
-                    stack.append(w)
-        seen |= verts
+    while left:
+        # the closure of the lowest vertex not yet placed
+        verts = frontier = left & -left
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & ~verts
+            verts |= new
+            frontier |= new
+        left &= ~verts
         comps.append(_classify(verts, adj))
-    comps.sort(key=lambda c: min(c.vertices))
     return comps
 
 
-def _classify(verts: set[int], adj: dict[int, list[int]]) -> Component:
-    edge_count = sum(len(adj[v]) for v in verts) // 2
-    degs = {v: len(adj[v]) for v in verts}
-    if max(degs.values()) > 2:
-        return Component(tuple(sorted(verts)), ComponentKind.OTHER, edge_count)
-    endpoints = sorted(v for v in verts if degs[v] == 1)
-    if len(endpoints) == 2:
-        order = _walk(endpoints[0], adj, len(verts))
-        return Component(tuple(order), ComponentKind.PATH, edge_count)
-    # all degrees 2: a cycle; start at the smallest vertex toward its
-    # smaller neighbor
-    start = min(verts)
-    order = [start, adj[start][0]]
-    while len(order) < len(verts):
-        nbrs = adj[order[-1]]
-        order.append(nbrs[0] if nbrs[0] != order[-2] else nbrs[1])
-    kind = ComponentKind.EVEN_CYCLE if len(verts) % 2 == 0 else ComponentKind.ODD_CYCLE
-    return Component(tuple(order), kind, edge_count)
-
-
-def _walk(start: int, adj: dict[int, list[int]], total: int) -> list[int]:
+def _classify(verts: int, adj: tuple[int, ...]) -> Component:
+    degrees = [(adj[v].bit_count(), v) for v in bits_of(verts)]
+    edge_count = sum(d for d, _ in degrees) // 2
+    size = len(degrees)
+    if max(degrees)[0] > 2:
+        return Component(tuple(v for _, v in degrees), ComponentKind.OTHER, edge_count)
+    if edge_count < size:
+        # a path, from its smaller endpoint
+        kind = ComponentKind.PATH
+        start = min(v for d, v in degrees if d == 1)
+    else:
+        # a cycle, from its smallest vertex toward its smaller neighbor
+        kind = ComponentKind.ODD_CYCLE if size % 2 else ComponentKind.EVEN_CYCLE
+        start = degrees[0][1]
     order = [start]
-    prev = None
-    while len(order) < total:
-        nbrs = [w for w in adj[order[-1]] if w != prev]
-        prev = order[-1]
-        order.append(nbrs[0])
-    return order
+    seen = 1 << start
+    step = adj[start]
+    while step:
+        low = step & -step
+        seen |= low
+        order.append(low.bit_length() - 1)
+        step = adj[order[-1]] & ~seen
+    return Component(tuple(order), kind, edge_count)
 
 
 def find_claw(edges: EdgeSet) -> Optional[ClawWitness]:
@@ -173,10 +165,9 @@ def hom_color_uniform(sigma: Coloring) -> Optional[int]:
     hypotheses are phrased as "all homogeneous sets have color 0", which
     holds vacuously.
     """
-    zeros, ones = hom_triple_counts(sigma)
-    if zeros and ones:
-        return None
-    return 1 if ones else 0
+    if not hom_triple_count(sigma, 1):
+        return 0
+    return None if hom_triple_count(sigma, 0) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -203,23 +194,26 @@ def _chordless_paths(edges: EdgeSet) -> Iterator[tuple[int, ...]]:
 
     A vertex sequence qualifies as a path on the edge set only when its
     induced edges are exactly the consecutive ones, so each extension
-    vertex may be adjacent to nothing on the path but its last vertex.
+    vertex may be adjacent to nothing on the path but its last vertex:
+    it steps outside ``near``, the neighbours of the vertices before it.
     """
-    adj = _adjacency(edges)
+    adj = edges.adj
 
-    def extend(path: list[int], members: int) -> Iterator[tuple[int, ...]]:
-        last = 1 << path[-1]
-        for w in adj[path[-1]]:
-            if members >> w & 1 or edges.adj[w] & members & ~last:
-                continue
-            path.append(w)
+    def extend(path: list[int], members: int, near: int) -> Iterator[tuple[int, ...]]:
+        last = adj[path[-1]]
+        step = last & ~members & ~near
+        while step:
+            low = step & -step
+            step ^= low
+            path.append(low.bit_length() - 1)
             if len(path) >= 3:
                 yield tuple(path)
-            yield from extend(path, members | 1 << w)
+            yield from extend(path, members | low, near | last)
             path.pop()
 
-    for start in sorted(adj):
-        yield from extend([start], 1 << start)
+    for start, m in enumerate(adj):
+        if m:
+            yield from extend([start], 1 << start, 0)
 
 
 def check_parity_lemmas(phi: Coloring, psi: Coloring) -> ParityReport:
@@ -246,39 +240,39 @@ def check_parity_paths(
     """The parity laws of :func:`check_parity_lemmas` on phi along the
     given paths of a difference set with ``components_checked``
     components; the paths are read up to the first violation."""
+    nbr = phi.nbr
     checked = 0
     for p in paths:
         checked += 1
         k = len(p) - 1
         even = k % 2 == 0
-        if (phi.get(p[0], p[1]) != phi.get(p[-2], p[-1])) != even:
+        if (nbr[p[0]] >> p[1] & 1 != nbr[p[-2]] >> p[-1] & 1) != even:
             return ParityReport(
                 False,
                 components_checked,
                 checked,
                 ParityViolation("endpoint-edges", p, "first/last edge parity law failed"),
             )
-        if (phi.get(p[0], p[2]) == phi.get(p[0], p[-1])) != even:
+        base = nbr[p[0]] >> p[2] & 1
+        if (base == nbr[p[0]] >> p[-1] & 1) != even:
             return ParityReport(
                 False,
                 components_checked,
                 checked,
                 ParityViolation("anchored-distance", p, "x0-x2 vs x0-xn law failed"),
             )
-        if k >= 3:
-            base = phi.get(p[0], p[2])
-            for i in range(k - 2):
-                if (
-                    phi.get(p[i], p[i + 2]) != base
-                    or phi.get(p[i], p[i + 3]) != 1 - base
-                    or phi.get(p[i + 1], p[i + 3]) != base
-                ):
-                    return ParityReport(
-                        False,
-                        components_checked,
-                        checked,
-                        ParityViolation("sliding-window", p, f"window i={i} failed"),
-                    )
+        for i in range(k - 2):
+            if (
+                nbr[p[i]] >> p[i + 2] & 1 != base
+                or nbr[p[i]] >> p[i + 3] & 1 == base
+                or nbr[p[i + 1]] >> p[i + 3] & 1 != base
+            ):
+                return ParityReport(
+                    False,
+                    components_checked,
+                    checked,
+                    ParityViolation("sliding-window", p, f"window i={i} failed"),
+                )
     return ParityReport(True, components_checked, checked, None)
 
 

@@ -20,6 +20,7 @@ from homrec.coloring import (
     Coloring,
     EdgeSet,
     HomSet,
+    bits_of,
     hom_sets,
     hom_signature,
     hom_triple_counts,
@@ -37,7 +38,15 @@ from homrec.critical import (
 from homrec.errors import BudgetError, InvalidPairError
 from homrec.fixtures import random_coloring
 from homrec.reconstruct import _reconstruction_masks, is_valid_difference
-from homrec.structure import _chordless_paths, components, degree, hom_color_uniform
+from homrec.structure import (
+    ParityReport,
+    ParityViolation,
+    _chordless_paths,
+    check_parity_paths,
+    components,
+    degree,
+    hom_color_uniform,
+)
 
 
 def _bit(bits: int, x: int, y: int) -> int:
@@ -135,6 +144,81 @@ def _ref_chordless_paths(edges: EdgeSet) -> list[tuple[int, ...]]:
     return out
 
 
+def _ref_components(edges: EdgeSet) -> list[tuple[tuple[int, ...], str, int]]:
+    """Per component, by its smallest vertex: its vertices (ascending for
+    OTHER, else the walk from the smaller path end, or from the smallest
+    cycle vertex toward its smaller neighbour), its kind and edge count."""
+    adj: dict[int, list[int]] = {}
+    for x, y in pairs_of(edges.n):
+        if _bit(edges.mask, x, y):
+            adj.setdefault(x, []).append(y)
+            adj.setdefault(y, []).append(x)
+    for nbrs in adj.values():
+        nbrs.sort()
+    seen: set[int] = set()
+    out = []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        verts, stack = {start}, [start]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in verts:
+                    verts.add(w)
+                    stack.append(w)
+        seen |= verts
+        edge_count = sum(len(adj[v]) for v in verts) // 2
+        if max(len(adj[v]) for v in verts) > 2:
+            out.append((tuple(sorted(verts)), "other", edge_count))
+            continue
+        ends = sorted(v for v in verts if len(adj[v]) == 1)
+        order = [ends[0] if ends else min(verts)]
+        while len(order) < len(verts):
+            order.append([w for w in adj[order[-1]] if w not in order][0])
+        kind = "path" if ends else ("odd_cycle" if len(verts) % 2 else "even_cycle")
+        out.append((tuple(order), kind, edge_count))
+    return out
+
+
+def _ref_within(edges: EdgeSet, vertices) -> int:
+    vs = set(vertices)
+    mask = 0
+    for i, (x, y) in enumerate(pairs_of(edges.n)):
+        if edges.mask >> i & 1 and x in vs and y in vs:
+            mask |= 1 << i
+    return mask
+
+
+def _ref_parity_paths(phi: Coloring, paths, components_checked: int) -> ParityReport:
+    """The parity laws read pair by pair through ``Coloring.get``."""
+    checked = 0
+    for p in paths:
+        checked += 1
+        k = len(p) - 1
+        even = k % 2 == 0
+        violation = None
+        if (phi.get(p[0], p[1]) != phi.get(p[-2], p[-1])) != even:
+            violation = ("endpoint-edges", "first/last edge parity law failed")
+        elif (phi.get(p[0], p[2]) == phi.get(p[0], p[-1])) != even:
+            violation = ("anchored-distance", "x0-x2 vs x0-xn law failed")
+        elif k >= 3:
+            base = phi.get(p[0], p[2])
+            for i in range(k - 2):
+                if (
+                    phi.get(p[i], p[i + 2]) != base
+                    or phi.get(p[i], p[i + 3]) != 1 - base
+                    or phi.get(p[i + 1], p[i + 3]) != base
+                ):
+                    violation = ("sliding-window", f"window i={i} failed")
+                    break
+        if violation:
+            lemma, detail = violation
+            return ParityReport(
+                False, components_checked, checked, ParityViolation(lemma, p, detail)
+            )
+    return ParityReport(True, components_checked, checked, None)
+
+
 def _ref_triple_counts(phi: Coloring) -> tuple[int, int]:
     kinds = hom_signature(phi).kinds
     return sum(k == 1 for k in kinds), sum(k == 2 for k in kinds)
@@ -221,12 +305,59 @@ def test_structure_queries_match_the_scalar_references():
             assert hom_triple_counts(phi) == _ref_triple_counts(phi)
 
 
-def test_chordless_paths_on_sparse_large_edge_sets():
+def _sparse_edge_sets() -> list[EdgeSet]:
     rng = random.Random(7)
-    for n in (10, 16, 24):
-        for _ in range(10):
-            edges = EdgeSet.from_pairs(n, rng.sample(pairs_of(n), n))
-            assert list(_chordless_paths(edges)) == _ref_chordless_paths(edges)
+    return [
+        EdgeSet.from_pairs(n, rng.sample(pairs_of(n), n)) for n in (10, 16, 24) for _ in range(10)
+    ]
+
+
+def test_chordless_paths_on_sparse_large_edge_sets():
+    for edges in _sparse_edge_sets():
+        assert list(_chordless_paths(edges)) == _ref_chordless_paths(edges)
+
+
+def _shape(edges: EdgeSet) -> list[tuple[tuple[int, ...], str, int]]:
+    return [(c.vertices, c.kind.value, c.edge_count) for c in components(edges)]
+
+
+def test_components_match_the_scalar_walk():
+    """Every edge set at n <= 5, the seeded ones at n = 6-12 and the
+    sparse ones at n = 10-24: vertices in traversal order, kind, edges."""
+    for edges in [EdgeSet(phi.n, phi.bits) for phi in SMALL] + _sparse_edge_sets():
+        assert _shape(edges) == _ref_components(edges), edges
+
+
+def test_within_matches_the_pair_loop():
+    rng = random.Random(11)
+    for edges in [EdgeSet(phi.n, phi.bits) for phi in SMALL] + _sparse_edge_sets():
+        n = edges.n
+        if n <= 5:
+            subsets = [list(bits_of(s)) for s in range(1 << n)]
+        else:
+            subsets = [rng.sample(range(n), rng.randint(0, n)) for _ in range(8)]
+            subsets += [c.vertices for c in components(edges)]
+        subsets += [[n - 1, 0, 0, n, n + 3, -1]]  # repeats and outsiders count for nothing
+        for vs in subsets:
+            assert edges.within(vs).mask == _ref_within(edges, vs), (edges, vs)
+
+
+def test_parity_paths_match_the_scalar_laws():
+    """Every n = 5 coloring against the paths of each of its valid
+    difference sets (the laws hold) and of one seeded other edge set
+    (most break one)."""
+    rng = random.Random(5)
+    broken = 0
+    for bits in range(1 << pair_count(5)):
+        phi = Coloring(5, bits)
+        for d in _reconstruction_masks(phi) + [rng.getrandbits(pair_count(5))]:
+            diff = EdgeSet(5, d)
+            paths = list(_chordless_paths(diff))
+            count = len(components(diff))
+            report = check_parity_paths(phi, paths, count)
+            assert report == _ref_parity_paths(phi, paths, count), (bits, d)
+            broken += not report.ok
+    assert broken > 0
 
 
 # ---------------------------------------------------------------------------

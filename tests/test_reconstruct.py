@@ -1,6 +1,7 @@
 """Validity of flips, enumeration, membership, and the r function."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -337,11 +338,32 @@ def test_search_at_n8(phi):
 # the bit-sliced search against the retired class-union expansion
 
 
+def _ref_pair_classes(phi: Coloring) -> list[int]:
+    """The pair classes from a union-find of the test's own: per triple
+    x < y < z whose three pairs share a color, merge the three pairs."""
+    parent = list(range(pair_count(phi.n)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for x, y, z in combinations(range(phi.n), 3):
+        a, b, c = pair_index(x, y), pair_index(x, z), pair_index(y, z)
+        if phi.bits >> a & 1 == phi.bits >> b & 1 == phi.bits >> c & 1:
+            parent[find(b)] = find(a)
+            parent[find(c)] = find(a)
+    classes: dict[int, int] = {}
+    for i in range(len(parent)):
+        classes[find(i)] = classes.get(find(i), 0) | 1 << i
+    return list(classes.values())
+
+
 def _expanded_masks(phi: Coloring) -> list[int]:
     """The search as it was: expand every union of pair classes into a
     pair mask and test them all with ``kernels.valid_for_phi``."""
     block = [0]
-    for c in _pair_classes(phi):
+    for c in _ref_pair_classes(phi):
         block += [m | c for m in block]
     full = (1 << pair_count(phi.n)) - 1
     found = [m for m in _valid_among(phi, block) if m not in (0, full)]
@@ -354,6 +376,18 @@ def test_bit_sliced_search_matches_expansion_at_n6():
     for bits in range(0, 1 << pair_count(6), 2):
         phi = Coloring(6, bits)
         assert _reconstruction_masks(phi) == _expanded_masks(phi), hex(bits)
+
+
+def test_pair_classes_match_the_reference_union_find():
+    for n in (3, 4, 5):
+        for bits in range(1 << pair_count(n)):
+            phi = Coloring(n, bits)
+            assert _pair_classes(phi) == _ref_pair_classes(phi), (n, bits)
+    for n in (6, 7, 8):
+        rng = random.Random(90 + n)
+        for _ in range(200):
+            phi = Coloring(n, rng.getrandbits(pair_count(n)))
+            assert _pair_classes(phi) == _ref_pair_classes(phi), (n, phi.bits)
 
 
 def _eighteen_classes() -> Coloring:

@@ -158,12 +158,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 # Per suite: suite keyword -> (command-line flag, allowed (lo, hi) or None).
-# The exhaustive --n crosses every coloring with every flip set, 2^(2P)
-# pairs, so it stops at 6 vertices.  There, at default scale otherwise,
-# oracle takes about 10.9 s, claws 7.2 s, parity 4.5-4.6 s, connectivity
-# 3.1-3.3 s and r-sweep 1.4-1.5 s, and alpha at --nmax 40 takes 1.1-2.2 s,
-# at 17-26 MB (whole process, one or two runs each, 2-vCPU VM, Python
-# 3.11).  The other ceilings keep a run in minutes.
+# The oracle's exhaustive --n crosses every coloring with every flip set,
+# 2^(2P) pairs, so --n stops at 6 vertices.  There, at default scale
+# otherwise, oracle takes about 10.9 s, parity 4.5-4.6 s, connectivity
+# 3.1-3.3 s, r-sweep 1.4-1.5 s and claws 0.9-1.1 s, and alpha at --nmax 40
+# takes 1.1-2.2 s, at 17-26 MB (whole process, one to five runs each,
+# 2-vCPU VM, Python 3.11).  The other ceilings keep a run in minutes.
 _N = ("n", (3, 6))
 _SAMPLES = ("samples", (0, 100_000))
 _SEED = ("seed", None)

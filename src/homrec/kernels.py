@@ -28,12 +28,12 @@ These are kept as independent implementations on purpose.
 ``critical_rows`` is the batch form of ``critical.find_critical_pairs``
 on the restriction to a vertex set.
 
-Callers: the oracle and claws suites, which sweep both batch routes; the
-parity and connectivity suites, which check one difference set against a
-batch of colorings with ``hom_projection_rows``, ``valid_for_phi`` and
-``critical_rows``; ``coloring.h_equivalent``, which reads
-``hom_projection_mask``; and the pair-class search of ``reconstruct``,
-whose union columns are ``index_columns``.
+Callers: the oracle suite, which sweeps both batch routes; claws, which
+runs ``has_claw_mask`` on the difference sets the search finds; parity
+and connectivity, which check one difference set against a batch of
+colorings with ``hom_projection_rows``, ``valid_for_phi`` and
+``critical_rows``; ``coloring.h_equivalent`` (``hom_projection_mask``);
+and the pair-class search of ``reconstruct`` (``index_columns``).
 """
 
 from __future__ import annotations

@@ -4,18 +4,19 @@ Each suite checks one family of structural laws at a configurable scale
 and returns a :class:`SuiteResult` whose serialized form is deterministic:
 independent of thread count and identical across runs with the same seed.
 Failures carry the first counterexample found in scan order.  The oracle
-and claws suites sweep the bit-sliced batch kernels of ``kernels`` (one
-int per pair, one bit per case); the others read the pair-class search
-of ``reconstruct`` or the scalar checks.  Parity and connectivity meet
-each difference set D under many colorings, so they group the search's
-cases by D over batches of colorings and check D against all of its
-owners in a batch at once: each check on the coloring is one expression
-over the batch's pair columns, one bit per coloring, and the owners' bits
-are read off it.  What depends on D alone (its paths, components and
-shape) is worked out once per D and run.  A coloring and its complement
-have the same homogeneous triples, and so the same valid differences and
-critical pairs: parity, r-sweep and connectivity run one search for each
-complementary pair that meets within a batch.  Failures are still named
+sweeps the bit-sliced batch kernels of ``kernels`` (one int per pair, one
+bit per case): the one brute-force sweep left, kept to cross-check the
+two validity routes.  The others read the pair-class search of
+``reconstruct`` or the scalar checks.  Parity and connectivity meet each
+D under many colorings, so they group the search's cases by D over
+batches of colorings and check D against all of its owners in a batch at
+once: each check on the coloring is one expression over the batch's pair
+columns, one bit per coloring.  What depends on D alone (its paths,
+components and shape) is worked out once per D and run.  A coloring and
+its complement have the same homogeneous triples, so the same valid
+differences and critical pairs: claws searches one coloring of each
+complementary pair, and parity, r-sweep and connectivity search once for
+each complementary pair that meets within a batch.  Failures are named
 in the order of a scan case by case: coloring, then D, then check.
 
 Suites:
@@ -74,7 +75,6 @@ from .structure import (
     _chordless_paths,
     check_parity_lemmas,
     components,
-    hom_color_uniform,
     hom_partition,
     make_cycle_pair,
     make_path_pair,
@@ -230,32 +230,25 @@ def _complement_shared(n: int, phis, fact):
 def suite_claws(n: int = 5) -> SuiteResult:
     scale = {"n": n}
     p = pair_count(n)
-    full = (1 << (1 << p)) - 1
-    masks = kernels.all_masks(n)
-
-    def shard(rng: range) -> tuple[int, int]:
-        seen = count = 0
-        for phi in rng:
-            ok = kernels.valid_for_phi(n, kernels.constant_columns(n, phi, full), masks) & full
-            seen |= ok
-            count += ok.bit_count()
-        return count, seen
-
-    pair_counts = valid_union = 0
-    for count, seen in run_sharded(shard, shard_ranges(1 << p, 128)):
-        pair_counts += count
-        valid_union |= seen
-
-    clawed = valid_union & (
-        kernels.has_claw_mask(n, masks) | kernels.has_claw_mask(n, [full ^ m for m in masks])
-    )
-    failures = [f"n={n} D={d:#x} contains a claw" for d in islice(bits_of(clawed), _MAX_FAILURES)]
+    # a coloring and its complement, which flips the top pair, have the same
+    # valid differences: a search counts for both, with the trivial D (+ 2)
+    pair_counts, distinct = 0, {0, (1 << p) - 1}
+    for phi in range(1 << (p - 1)):
+        found = _reconstruction_masks(Coloring(n, phi))
+        pair_counts += 2 * (len(found) + 2)
+        distinct.update(found)
+    ds = sorted(distinct)
+    columns = kernels.columns_of(n, ds)
+    complements = [((1 << len(ds)) - 1) ^ c for c in columns]
+    clawed = kernels.has_claw_mask(n, columns) | kernels.has_claw_mask(n, complements)
+    first = islice(bits_of(clawed), _MAX_FAILURES)
+    failures = [f"n={n} D={ds[j]:#x} contains a claw" for j in first]
     return SuiteResult(
         "claws",
         not clawed,
         pair_counts,
         scale,
-        {"distinct_valid_differences": valid_union.bit_count()},
+        {"distinct_valid_differences": len(ds)},
         failures,
     )
 
@@ -596,7 +589,8 @@ def _difference_facts(n: int, d: int) -> tuple:
     vertices and its member pairs."""
     diff = EdgeSet(n, d)
     comps = components(diff)
-    uniform = hom_color_uniform(diff.indicator()) == 0
+    # the sum has a color-1 homogeneous triple iff D has a triangle
+    uniform = not any(diff.adj[x] & diff.adj[y] for x, y in diff.members())
     shape: tuple[str, ...] = ()
     if uniform:
         if any(m.bit_count() > 2 for m in diff.adj):

@@ -1,7 +1,8 @@
 """Byte-identity of suite output: the sha256 of ``homrec verify <suite>
---json`` for all eight suites at default scale, and for the seeded suites
-at the cut-down scale of the benchmark's suites workload.  A change that
-alters any byte of a suite's JSON fails here."""
+--json`` for all eight suites at default scale, for the seeded suites at
+the cut-down scale of the benchmark's suites workload, and for claws at
+n = 4 and n = 6.  A change that alters any byte of a suite's JSON fails
+here."""
 
 import hashlib
 
@@ -29,10 +30,21 @@ CUT_SCALE = {
     "theorem63": ("4", "4d74c14be640e5d2bf56856f77454ecb6b8d2d2fed271c3e23fcb717a9481fb0"),
 }
 
-CASES = [(["verify", suite, "--json"], digest) for suite, digest in DEFAULT_SCALE.items()] + [
-    (["verify", suite, "--json", "--samples", samples, "--seed", "4242"], digest)
-    for suite, (samples, digest) in CUT_SCALE.items()
-]
+# claws below and above its default n; at n = 6 this is the exhaustive
+# agreement of the pair-class search with the brute-force sweep
+CLAWS_N = {
+    "4": "f9b3e91b687807bcd1c8c685e987654116be542a58881cab6d755464984b9f9d",
+    "6": "e016cc1d3d2e30ebd2c1563afc5f4fe7c06c0fc2240eefa5a5d3bc733f4eff13",
+}
+
+CASES = (
+    [(["verify", suite, "--json"], digest) for suite, digest in DEFAULT_SCALE.items()]
+    + [
+        (["verify", suite, "--json", "--samples", samples, "--seed", "4242"], digest)
+        for suite, (samples, digest) in CUT_SCALE.items()
+    ]
+    + [(["verify", "claws", "--json", "--n", n], digest) for n, digest in CLAWS_N.items()]
+)
 
 
 @pytest.mark.parametrize("argv, digest", CASES, ids=[" ".join(argv[1:]) for argv, _ in CASES])

@@ -1,13 +1,23 @@
 """Verification suites: reduced-scale passes, thread determinism, the
-counterexamples a failing suite reports, parity and connectivity at
-default scale, and their batch route against the scalar checks."""
+counterexamples a failing suite reports, claws against the brute-force
+sweep, parity and connectivity at default scale, and their batch route
+against the scalar checks."""
 
 import json
+from itertools import islice
 
 import pytest
 
 from homrec import kernels, suites
-from homrec.coloring import Coloring, EdgeSet, h_equivalent, pair_count, pair_index, restrict
+from homrec.coloring import (
+    Coloring,
+    EdgeSet,
+    bits_of,
+    h_equivalent,
+    pair_count,
+    pair_index,
+    restrict,
+)
 from homrec.critical import find_critical_pairs
 from homrec.errors import ConsistencyError
 from homrec.reconstruct import _reconstruction_masks, is_valid_difference
@@ -123,18 +133,87 @@ def test_oracle_names_the_first_disagreeing_sample(monkeypatch):
     assert result.failures == [f"n=6 phi={phis[4]:#x} D={ds[4]:#x}"]
 
 
+_TRIANGLE = sum(1 << pair_index(x, y) for x, y in ((0, 1), (0, 2), (1, 2)))
+
+
+def _inject_differences(monkeypatch, masks) -> None:
+    """Append ``masks`` to the search's valid differences of phi = 0x1."""
+    original = suites._reconstruction_masks
+
+    def patched(phi):
+        return original(phi) + masks if phi.bits == 0x1 else original(phi)
+
+    monkeypatch.setattr(suites, "_reconstruction_masks", patched)
+
+
 def test_claws_names_the_least_clawed_difference(monkeypatch):
     passing = suite_claws(5)
     # a triangle on 0, 1, 2 without vertex 3, alone and with the pair {3, 4}
-    triangle = sum(1 << pair_index(x, y) for x, y in ((0, 1), (0, 2), (1, 2)))
-    _invert_verdicts(monkeypatch, [(5, 0x1, triangle | 1 << pair_index(3, 4)), (5, 0x1, triangle)])
+    _inject_differences(monkeypatch, [_TRIANGLE | 1 << pair_index(3, 4), _TRIANGLE])
     result = suite_claws(5)
     assert not result.ok
-    assert result.cases == passing.cases + 2
+    # an injected D counts for 0x1 and for its complement
+    assert result.cases == passing.cases + 4
     assert result.stats["distinct_valid_differences"] == (
         passing.stats["distinct_valid_differences"] + 2
     )
     assert result.failures == ["n=5 D=0x7 contains a claw", "n=5 D=0x207 contains a claw"]
+
+
+def test_claws_checks_the_complement_pattern(monkeypatch):
+    # D holds every pair but the triangle on 0, 1, 2: D has no claw, and
+    # its complement, the triangle, has one
+    _inject_differences(monkeypatch, [_TRIANGLE ^ 0x3FF])
+    assert suite_claws(5).failures == ["n=5 D=0x3f8 contains a claw"]
+
+
+def _claws_by_sweep(n: int) -> dict:
+    """The claws suite's JSON from a sweep of every coloring against every
+    difference set with the local criterion: the reference for the suite,
+    which reads the pair-class search."""
+    p = pair_count(n)
+    full = (1 << (1 << p)) - 1
+    masks = kernels.all_masks(n)
+    cases = valid = 0
+    for phi in range(1 << p):
+        ok = kernels.valid_for_phi(n, kernels.constant_columns(n, phi, full), masks) & full
+        valid |= ok
+        cases += ok.bit_count()
+    clawed = valid & (
+        kernels.has_claw_mask(n, masks) | kernels.has_claw_mask(n, [full ^ m for m in masks])
+    )
+    return {
+        "suite": "claws",
+        "ok": not clawed,
+        "cases": cases,
+        "scale": {"n": n},
+        "stats": {"distinct_valid_differences": valid.bit_count()},
+        "failures": [f"n={n} D={d:#x} contains a claw" for d in islice(bits_of(clawed), 5)],
+    }
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_claws_matches_the_sweep(n):
+    assert suite_claws(n).to_json() == _claws_by_sweep(n)
+
+
+def test_claws_searches_one_coloring_per_complementary_pair(monkeypatch):
+    searched = []
+    original = suites._reconstruction_masks
+
+    def counting(phi):
+        searched.append(phi.bits)
+        return original(phi)
+
+    def sweeping(*args):
+        raise AssertionError("claws swept")
+
+    monkeypatch.setattr(suites, "_reconstruction_masks", counting)
+    monkeypatch.setattr(kernels, "valid_for_phi", sweeping)
+    monkeypatch.setattr(kernels, "all_masks", sweeping)
+    monkeypatch.setattr(suites, "run_sharded", sweeping)
+    assert suite_claws(5).ok
+    assert searched == list(range(1 << (pair_count(5) - 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ Subcommands:
 Exit codes: 0 success / suite passed, 1 suite failed, 2 bad input or
 usage.  Machine output is versioned JSON (schema_version); everything
 printed to stdout is deterministic for fixed inputs, seeds, and scales.
-The HOMREC_THREADS environment variable caps worker threads (0 = auto);
-results do not depend on it.
+The HOMREC_THREADS environment variable caps the worker threads of the
+theorem63 suite, the only one that shards its work (0 = auto); results
+do not depend on it.
 """
 
 from __future__ import annotations
@@ -160,7 +161,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # Per suite: suite keyword -> (command-line flag, allowed (lo, hi) or None).
 # The oracle's exhaustive --n crosses every coloring with every flip set,
 # 2^(2P) pairs, so --n stops at 6 vertices.  There, at default scale
-# otherwise, oracle takes about 10.9 s, parity 4.5-4.6 s, connectivity
+# otherwise, oracle takes 6.9-8.1 s, parity 4.5-4.6 s, connectivity
 # 3.1-3.3 s, r-sweep 1.4-1.5 s and claws 0.9-1.1 s, and alpha at --nmax 40
 # takes 1.1-2.2 s, at 17-26 MB (whole process, one to five runs each,
 # 2-vCPU VM, Python 3.11).  The other ceilings keep a run in minutes.

@@ -4,12 +4,15 @@ Colorings and difference sets are plain integers here (bit i = pair with
 colex index i).  A batch of them is held as its columns: column i is an
 int whose bit j is pair i of the j-th mask, so one int operation decides
 a pair or a triple for the whole batch.  ``all_masks(n)`` is the batch of
-every mask on n vertices (entry j is the mask j), ``columns_of``
-transposes any list of masks, and a single coloring faces a batch as its
-constant columns (0 or the batch's full mask per pair).  Past the end of
-a batch every column reads 0, so a verdict or homogeneity column there
-describes the all-zero entry and can be a negative int; callers AND with
-the batch's full mask.
+every mask on n vertices (entry j is the mask j), and a single coloring
+faces a batch as its constant columns (0 or the batch's full mask per
+pair).  ``columns_of`` transposes any list of masks through one byte
+image: each mask becomes a row of little-endian bytes, and pair i's
+column is one stride slice down byte i >> 3 of every row, translated to
+the ASCII digits of bit i & 7 and read by ``int(..., 2)``.  Past the
+end of a batch every column reads 0, so a verdict or homogeneity column
+there describes the all-zero entry and can be a negative int; callers
+AND with the batch's full mask.
 
 The two routes that must agree everywhere, each with one batch form and
 one scalar reference:
@@ -28,12 +31,15 @@ These are kept as independent implementations on purpose.
 ``critical_rows`` is the batch form of ``critical.find_critical_pairs``
 on the restriction to a vertex set.
 
-Callers: the oracle suite, which sweeps both batch routes; claws, which
-runs ``has_claw_mask`` on the difference sets the search finds; parity
-and connectivity, which check one difference set against a batch of
-colorings with ``hom_projection_rows``, ``valid_for_phi`` and
-``critical_rows``; ``coloring.h_equivalent`` (``hom_projection_mask``);
-and the pair-class search of ``reconstruct`` (``index_columns``).
+Callers: the oracle suite, which sweeps both batch routes, a block of
+colorings per call over ``index_columns`` in its exhaustive cross and
+``columns_of`` in its random part; claws, which runs ``has_claw_mask``
+on the ``columns_of`` of the difference sets the search finds; parity
+and connectivity, which check one difference set against the
+``columns_of`` of a batch of colorings with ``hom_projection_rows``,
+``valid_for_phi`` and ``critical_rows``; ``coloring.h_equivalent``
+(``hom_projection_mask``); and the pair-class search of ``reconstruct``
+(``index_columns``).
 """
 
 from __future__ import annotations
@@ -92,15 +98,25 @@ def all_masks(n: int) -> tuple[int, ...]:
     return index_columns(p)
 
 
+# per bit position b, the byte -> ASCII "0"/"1" table of that bit
+_BIT_DIGITS = tuple(
+    bytes(ord("1") if v >> b & 1 else ord("0") for v in range(256)) for b in range(8)
+)
+
+
 def columns_of(n: int, masks: Sequence[int]) -> tuple[int, ...]:
     """The P columns of a batch of pair masks, entry j being ``masks[j]``."""
     p = pair_count(n)
     if not masks:
         return (0,) * p
-    # one binary string per mask, highest pair first; reading them last
-    # mask first down one position gives that pair's column, top bit first
-    rows = [format(m, f"0{p}b") for m in reversed(masks)]
-    return tuple(int("".join(column), 2) for column in zip(*rows))[::-1]
+    # one little-endian row of bytes per mask, last mask first: byte i >> 3
+    # of every row, read down the image, spells pair i's column top bit
+    # first once each byte becomes the digit of its bit i & 7
+    width = (p + 7) >> 3
+    image = b"".join([m.to_bytes(width, "little") for m in reversed(masks)])
+    return tuple(
+        int(image[i >> 3 :: width].translate(_BIT_DIGITS[i & 7]), 2) for i in range(p)
+    )
 
 
 def constant_columns(n: int, bits: int, full: int) -> tuple[int, ...]:

@@ -1,9 +1,10 @@
 """Deterministic work sharding.
 
-Sweeps split their input into fixed shards and merge results in shard
-order, so the outcome is byte-identical no matter how many worker
-threads run them.  The thread count comes from the HOMREC_THREADS
-environment variable (0 or unset means automatic).
+A sweep splits its input into fixed shards and merges the results in
+shard order, so the outcome is byte-identical no matter how many worker
+threads run them.  Only the theorem63 suite shards its work.  The
+thread count comes from the HOMREC_THREADS environment variable (0 or
+unset means automatic).
 """
 
 from __future__ import annotations
@@ -36,9 +37,3 @@ def run_sharded(fn: Callable[[T], R], shards: Sequence[T]) -> list[R]:
         return [fn(s) for s in shards]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, shards))
-
-
-def shard_ranges(total: int, size: int) -> list[range]:
-    """Contiguous ranges of fixed size; the split never depends on the
-    thread count."""
-    return [range(lo, min(lo + size, total)) for lo in range(0, total, size)]

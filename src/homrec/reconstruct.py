@@ -218,12 +218,6 @@ def _search_space(phi: Coloring) -> tuple[list[int], set[tuple[int, int, int]]]:
     return classes, constraints
 
 
-def _pair_classes(phi: Coloring) -> list[int]:
-    """Pair masks of the classes that phi's homogeneous triples merge,
-    ordered by their lowest pair."""
-    return _search_space(phi)[0]
-
-
 def _reconstruction_masks(phi: Coloring) -> list[int]:
     """Every non-trivial valid difference of phi as a mask, in
     size-then-colex order (colex is numeric order within one size)."""

@@ -67,7 +67,7 @@ from .coloring import (
 from .critical import find_critical_pairs, flip_reconstruction
 from .errors import ConsistencyError, HomrecError
 from .fixtures import partition_coloring
-from .parallel import run_sharded, shard_ranges
+from .parallel import run_sharded
 from .reconstruct import Verdict, _reconstruction_masks, in_R
 from .srcheck import alpha_coloring, theorem63_condition_c, verify_alpha
 from .structure import (
@@ -83,6 +83,10 @@ from .structure import (
 __all__ = ["SUITES", "SuiteResult", "run_suite", "suite_names"]
 
 _MAX_FAILURES = 5
+
+# the oracle's exhaustive cross decides 2^_CROSS_BITS (phi, D) cases per
+# kernel call, so a block's columns stay 4 KB ints
+_CROSS_BITS = 15
 
 
 @dataclass
@@ -139,39 +143,49 @@ def suite_oracle(
     failures: list[str] = []
     cases = 0
 
-    # exhaustive cross: every coloring against every difference set.  The
-    # batch entry psi stands for D = phi ^ psi, so the signature side reads
-    # the table: psi matches phi where every triple's homogeneity does.
-    p = pair_count(n_exhaustive)
-    full = (1 << (1 << p)) - 1
-    masks = kernels.all_masks(n_exhaustive)
-    table = kernels.hom_projection_table(n_exhaustive)
+    # exhaustive cross: every coloring against every difference set, a
+    # block of 2^s colorings per kernel call.  Entry t * 2^P + psi of the
+    # block from ``first`` stands for phi = first + t and D = phi ^ psi, so
+    # the signature side reads the table: psi matches phi where every
+    # triple's homogeneity does.
+    n = n_exhaustive
+    p = pair_count(n)
+    size, every = 1 << p, (1 << (1 << p)) - 1
+    s = max(0, min(_CROSS_BITS - p, p))
+    index = kernels.index_columns(p + s)
+    full = (1 << (size << s)) - 1
+    # per triple, its table row as bytes (a bit test costs no shift of the
+    # row) and the colorings where the triple is not, and is, homogeneous
+    rows = [
+        (hom.to_bytes(size >> 3, "little"), (hom ^ every, hom))
+        for hom in kernels.hom_projection_table(n)
+    ]
 
-    def cross_shard(rng: range) -> tuple[int, list[str]]:
-        bad: list[str] = []
-        mism = 0
-        for phi in rng:
-            phi_cols = kernels.constant_columns(n_exhaustive, phi, full)
-            diffs = [m ^ f for m, f in zip(masks, phi_cols)]
-            local = kernels.valid_for_phi(n_exhaustive, phi_cols, diffs)
-            sig = full
-            for hom in table:
-                sig &= hom if hom >> phi & 1 else ~hom
-            diff = (local ^ sig) & full
-            if diff:
-                mism += diff.bit_count()
-                # the least D: from the top pair down, keep D's bit 0
-                # (psi's bit equal to phi's) wherever an entry allows it
-                for d_col in reversed(diffs):
-                    diff = diff & ~d_col or diff
-                d = phi ^ (diff.bit_length() - 1)
-                bad.append(f"n={n_exhaustive} phi={phi:#x} D={d:#x}")
-        return mism, bad
+    def matches(phi: int) -> bytes:
+        sig = every
+        byte, bit = phi >> 3, phi & 7
+        for row, homogeneous in rows:
+            sig &= homogeneous[row[byte] >> bit & 1]
+        return sig.to_bytes(size >> 3, "little")
 
-    shard_results = run_sharded(cross_shard, shard_ranges(1 << p, 128))
-    mismatches = sum(m for m, _ in shard_results)
-    for _, bad in shard_results:
-        failures.extend(bad)
+    mismatches = 0
+    for first in range(0, size, 1 << s):
+        phi_cols = index[p:] + kernels.constant_columns(n, first, full)[s:]
+        diffs = [psi ^ phi for psi, phi in zip(index, phi_cols)]
+        local = kernels.valid_for_phi(n, phi_cols, diffs)
+        sig = int.from_bytes(b"".join(map(matches, range(first, first + (1 << s)))), "little")
+        diff = (local ^ sig) & full
+        mismatches += diff.bit_count()
+        while diff and len(failures) < _MAX_FAILURES:
+            # the entries of the least coloring left, then its least D:
+            # from the top pair down, keep D's bit 0 wherever one allows it
+            t = ((diff & -diff).bit_length() - 1) >> p
+            bad = diff & every << (t << p)
+            diff ^= bad
+            for d_col in reversed(diffs):
+                bad = bad & ~d_col or bad
+            d = (first + t) ^ ((bad.bit_length() - 1) & (size - 1))
+            failures.append(f"n={n} phi={first + t:#x} D={d:#x}")
     cases += (1 << p) ** 2
 
     # random paired batches at larger n

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homrec.coloring import Coloring, EdgeSet, h_equivalent, pair_count, pairs_of, restrict
+from homrec.coloring import (
+    Coloring,
+    EdgeSet,
+    h_equivalent,
+    pair_count,
+    pair_index,
+    pairs_of,
+    restrict,
+)
 from homrec.critical import (
     Orientation,
     b_set,
@@ -163,11 +171,39 @@ def test_partition_has_no_critical_cycles(partition6):
         assert len(b_set(partition6, pair)) in (0, 4)
 
 
+def _planted_cycle(n: int, seed: int) -> Coloring:
+    """A seeded coloring with a critical cycle a-b-c-d planted in the
+    primary orientation on a seeded quad: every outside vertex sees the
+    quad as u, 1 - u, u, 1 - u; the other pairs are random."""
+    rng = random.Random(seed * 1_000_003 + n)
+    bits = rng.getrandbits(pair_count(n))
+    a, b, c, d = rng.sample(range(n), 4)
+    u = rng.getrandbits(1)
+    colors = {(a, b): u, (b, c): 1 - u, (c, d): u, (d, a): 1 - u, (a, c): 1 - u, (b, d): u}
+    for z in set(range(n)) - {a, b, c, d}:
+        v = rng.getrandbits(1)
+        colors.update({(z, a): v, (z, b): 1 - v, (z, c): v, (z, d): 1 - v})
+    for (x, y), color in colors.items():
+        i = pair_index(*sorted((x, y)))
+        bits = bits & ~(1 << i) | color << i
+    return Coloring(n, bits)
+
+
 def test_pairs_on_found_cycles_have_singleton_b_sets(two_cycles, no_critical_pair6):
-    for phi in (two_cycles, no_critical_pair6):
+    """The lemma the cycle scan can rest on: the B-set of each edge of a
+    critical cycle is one of the cycle's two other corners."""
+    every5 = (Coloring(5, bits) for bits in range(1 << pair_count(5)))
+    planted = [_planted_cycle(n, seed) for n in range(6, 11) for seed in range(20)]
+    seeded = [phi for n in range(6, 11) for phi in _seeded(n, 60, 12)]
+    assert all(find_critical_cycles(phi) for phi in planted)
+    witnesses = 0
+    for phi in (two_cycles, no_critical_pair6, *every5, *planted, *seeded):
         for w in find_critical_cycles(phi):
-            for pair in w.edges.members():
-                assert len(b_set(phi, pair)) == 1
+            witnesses += 1
+            for x, y in w.edges.members():
+                (corner,) = b_set(phi, (x, y)).members
+                assert corner in set(w.quad) - {x, y}, (phi, w.quad, (x, y))
+    assert witnesses >= 72 + len(planted)
 
 
 # the scan of the quads that contain the last vertex

@@ -1,5 +1,7 @@
 """Agreement of the bit-sliced batch kernels with the scalar references."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,6 +86,14 @@ def test_hom_projection_table_spot_values():
     assert all(row >= 0 for row in table)
 
 
+def _columns_by_bit(n: int, masks) -> tuple[int, ...]:
+    """Column i of a batch built one bit at a time: bit j is bit i of
+    ``masks[j]``."""
+    return tuple(
+        sum((m >> i & 1) << j for j, m in enumerate(masks)) for i in range(pair_count(n))
+    )
+
+
 def test_columns_of_round_trip():
     for n, masks in (
         (6, [0, 1, (1 << 15) - 1, 0b101010101010101]),
@@ -96,6 +106,19 @@ def test_columns_of_round_trip():
         back = [sum((col >> j & 1) << i for i, col in enumerate(columns)) for j in range(len(masks))]
         assert back == masks
         assert all(col >> len(masks) == 0 for col in columns)
+    # every n = 3..9, so that P (3 to 36 pairs) crosses the byte edges at
+    # 8, 16, 24 and 32
+    rng = random.Random(87)
+    for n in range(3, 10):
+        p = pair_count(n)
+        top = 1 << p - 1
+        for masks in (
+            [],
+            [rng.getrandbits(p)],
+            [top, top | 1, (1 << p) - 1, 0, top],
+            [rng.getrandbits(p) for _ in range(2000)],
+        ):
+            assert kernels.columns_of(n, masks) == _columns_by_bit(n, masks), (n, len(masks))
 
 
 def test_index_columns_enumerate_every_mask():

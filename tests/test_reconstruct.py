@@ -30,8 +30,8 @@ from homrec.fixtures import fig_critical_cycle, fig_two_cycles, partition_colori
 from homrec.reconstruct import (
     SearchMode,
     Verdict,
-    _pair_classes,
     _reconstruction_masks,
+    _search_space,
     component_restriction_valid,
     enumerate_reconstructions,
     in_R,
@@ -382,12 +382,12 @@ def test_pair_classes_match_the_reference_union_find():
     for n in (3, 4, 5):
         for bits in range(1 << pair_count(n)):
             phi = Coloring(n, bits)
-            assert _pair_classes(phi) == _ref_pair_classes(phi), (n, bits)
+            assert _search_space(phi)[0] == _ref_pair_classes(phi), (n, bits)
     for n in (6, 7, 8):
         rng = random.Random(90 + n)
         for _ in range(200):
             phi = Coloring(n, rng.getrandbits(pair_count(n)))
-            assert _pair_classes(phi) == _ref_pair_classes(phi), (n, phi.bits)
+            assert _search_space(phi)[0] == _ref_pair_classes(phi), (n, phi.bits)
 
 
 def _eighteen_classes() -> Coloring:
@@ -428,13 +428,13 @@ def test_eighteen_classes_is_the_n8_maximum():
             continue
         base = sum(1 << pair_index(min(e), max(e)) for e in graph.edges())
         for joined in range(1 << 7):
-            k = len(_pair_classes(Coloring(8, base | joined << pair_count(7))))
+            k = len(_search_space(Coloring(8, base | joined << pair_count(7)))[0])
             counts[k] = counts.get(k, 0) + 1
     assert sum(counts.values()) == 1044 << 7
     assert max(counts) == reconstruct._MAX_CLASSES == 18
     assert counts[18] == 28
     for phi in (partition_coloring(8), _eighteen_classes()):
-        assert len(_pair_classes(phi)) == 18
+        assert len(_search_space(phi)[0]) == 18
 
 
 def test_search_refuses_more_classes_than_its_ceiling(monkeypatch):
@@ -442,5 +442,5 @@ def test_search_refuses_more_classes_than_its_ceiling(monkeypatch):
     with pytest.raises(ConsistencyError, match="18 pair classes at n=8, more than 17"):
         _reconstruction_masks(partition_coloring(8))
     phi = partition_coloring(7)
-    assert len(_pair_classes(phi)) <= 17
+    assert len(_search_space(phi)[0]) <= 17
     assert _reconstruction_masks(phi) == _expanded_masks(phi)

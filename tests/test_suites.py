@@ -123,6 +123,32 @@ def test_oracle_names_the_least_difference_of_the_first_coloring(monkeypatch):
     assert result.failures == ["n=4 phi=0x5 D=0x3", "n=4 phi=0x9 D=0x6"]
 
 
+def test_oracle_names_failures_across_block_edges(monkeypatch):
+    # n = 5 crosses blocks of 32 colorings: 0x1f ends the first block and
+    # 0x20 starts the second.  For 0x20 the least D (0x3) is not the D of
+    # the least phi ^ D (0x1, from D = 0x21).
+    targets = [(5, 0x3FF, 0x1), (5, 0x20, 0x21), (5, 0x20, 0x3), (5, 0x1F, 0x100)]
+    _invert_verdicts(monkeypatch, targets)
+    result = suite_oracle(n_exhaustive=5, random_ns=(), samples=0)
+    assert not result.ok
+    assert result.stats["mismatches"] == 4
+    assert result.failures == [
+        "n=5 phi=0x1f D=0x100",
+        "n=5 phi=0x20 D=0x3",
+        "n=5 phi=0x3ff D=0x1",
+    ]
+
+
+def test_oracle_names_the_first_five_failing_colorings(monkeypatch):
+    phis = [0x3E0, 0x1F, 0x41, 0x20, 0x40, 0x3F, 0x21]
+    _invert_verdicts(monkeypatch, [(5, phi, 0x5) for phi in phis])
+    result = suite_oracle(n_exhaustive=5, random_ns=(), samples=0)
+    assert result.stats["mismatches"] == 7
+    assert result.failures == [
+        f"n=5 phi={phi:#x} D=0x5" for phi in (0x1F, 0x20, 0x21, 0x3F, 0x40)
+    ]
+
+
 def test_oracle_names_the_first_disagreeing_sample(monkeypatch):
     phis, ds = _sample_masks(6, 20, 9), _sample_masks(6, 20, 10)
     assert len(set(zip(phis, ds))) == 20 and all(phis) and all(ds)

@@ -12,9 +12,9 @@ Subcommands:
 Exit codes: 0 success / suite passed, 1 suite failed, 2 bad input or
 usage.  Machine output is versioned JSON (schema_version); everything
 printed to stdout is deterministic for fixed inputs, seeds, and scales.
-The HOMREC_THREADS environment variable caps the worker threads of the
-theorem63 suite, the only one that shards its work (0 = auto); results
-do not depend on it.
+The theorem63 suite, the only one that shards its work, runs in the
+calling thread unless the HOMREC_THREADS environment variable sets more
+worker threads; results do not depend on it.
 """
 
 from __future__ import annotations

@@ -221,12 +221,24 @@ class Coloring:
         n = obj["n"]
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValueError(f"coloring 'n' must be a JSON integer, got {n!r}")
+        if ("ones" in obj) == ("bits_hex" in obj):
+            raise ValueError("coloring JSON needs exactly one of 'ones' and 'bits_hex'")
         if "bits_hex" in obj:
             bits = int.from_bytes(bytes.fromhex(obj["bits_hex"]), "little")
             return cls(n, bits)
-        if "ones" in obj:
-            return cls.from_ones(n, obj["ones"])
-        raise ValueError("coloring JSON needs either 'ones' or 'bits_hex'")
+        ones = obj["ones"]
+        if not isinstance(ones, list):
+            raise ValueError(f"coloring 'ones' must be a JSON array of pairs, got {ones!r}")
+        for pair in ones:
+            if not (
+                isinstance(pair, list)
+                and len(pair) == 2
+                and all(isinstance(v, int) and not isinstance(v, bool) for v in pair)
+            ):
+                raise ValueError(
+                    f"coloring 'ones' entries must be pairs of JSON integers, got {pair!r}"
+                )
+        return cls.from_ones(n, ones)
 
     @classmethod
     def from_json_str(cls, text: str) -> "Coloring":

@@ -36,8 +36,10 @@ colorings per call over ``index_columns`` in its exhaustive cross and
 ``columns_of`` in its random part; claws, which runs ``has_claw_mask``
 on the ``columns_of`` of the difference sets the search finds; parity
 and connectivity, which check one difference set against the
-``columns_of`` of a batch of colorings with ``hom_projection_rows``,
-``valid_for_phi`` and ``critical_rows``; ``coloring.h_equivalent``
+``columns_of`` of a batch of colorings with ``hom_projection_rows`` and
+``valid_for_phi``; ``critical_rows``, which serves connectivity (on each
+batch and on each component's vertices) and r-sweep (once on the
+``columns_of`` of its whole sweep); ``coloring.h_equivalent``
 (``hom_projection_mask``); and the pair-class search of ``reconstruct``
 (``index_columns``).
 """

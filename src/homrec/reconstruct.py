@@ -22,12 +22,14 @@ classes and every valid difference is a union of classes.  A
 non-homogeneous triple whose pairs a, b share a color and c has the
 other forbids exactly the unions that contain a and b but not c, or c
 but neither a nor b.  One pass over the triples merges the homogeneous
-ones and keeps the others; once the classes are known, each kept triple
-becomes its class triple, repeats dropped.  The search evaluates those
-constraints on all 2^k unions of k classes at once, bit-sliced on Python
-ints (bit u of class i's column is bit i of u: ``kernels.index_columns``),
-expands only the surviving unions into pair masks and orders them by
-size, then colex.
+ones, always under the least root, and keeps the others.  So each class
+is rooted at its lowest pair, and one ascending pass over the pairs
+numbers the classes by it; each kept triple then becomes its class
+triple, repeats dropped.  The search evaluates those constraints on all
+2^k unions of k classes at once, bit-sliced on Python ints (bit u of
+class i's column is bit i of u: ``kernels.index_columns``), expands
+only the surviving unions into pair masks and orders them by size, then
+colex.
 It runs through n = 8, where no coloring has more than 18 classes; above
 that only the structural scans apply.
 
@@ -182,35 +184,40 @@ def _search_space(phi: Coloring) -> tuple[list[int], set[tuple[int, int, int]]]:
     triples merge, ordered by their lowest pair, and each non-homogeneous
     triple as its classes (p, q, r), those of its two pairs of one color
     (p <= q), then of its pair of the other, without repeats."""
+    # a merge hangs every root under the least, so a pair's parent is a
+    # lower pair and each class's root is its lowest pair
     parent = list(range(pair_count(phi.n)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     bits = phi.bits
     mixed = []
     for a, b, c in triple_pairs(phi.n):
         fa = bits >> a & 1
         if fa == bits >> b & 1:
             if fa == bits >> c & 1:
-                root = find(a)
-                parent[find(b)] = root
-                parent[find(c)] = root
+                while a != parent[a]:
+                    a = parent[a]
+                while b != parent[b]:
+                    b = parent[b]
+                while c != parent[c]:
+                    c = parent[c]
+                parent[a] = parent[b] = parent[c] = min(a, b, c)
             else:
                 mixed.append((a, b, c))
         elif fa == bits >> c & 1:
             mixed.append((a, c, b))
         else:
             mixed.append((b, c, a))
-    roots = [find(i) for i in range(len(parent))]
-    number = {root: c for c, root in enumerate(dict.fromkeys(roots))}  # by lowest pair
-    of_pair = [number[root] for root in roots]
-    classes = [0] * len(number)
-    for i, c in enumerate(of_pair):
-        classes[c] |= 1 << i
+    # ascending, each pair's parent is numbered before it: a root opens
+    # the next class, any other pair joins its parent's
+    of_pair: list[int] = []
+    classes: list[int] = []
+    for i, up in enumerate(parent):
+        if up == i:
+            of_pair.append(len(classes))
+            classes.append(1 << i)
+        else:
+            c = of_pair[up]
+            of_pair.append(c)
+            classes[c] |= 1 << i
     constraints = set()
     for x, y, z in mixed:
         p, q = of_pair[x], of_pair[y]
@@ -248,7 +255,8 @@ def _reconstruction_masks(phi: Coloring) -> list[int]:
             rest ^= low
         found.append(mask)
         u = survivors.find("1", u + 1, full)
-    found.sort(key=lambda m: (m.bit_count(), m))
+    found.sort()  # colex, then (stable) by size
+    found.sort(key=int.bit_count)
     return found
 
 

@@ -12,10 +12,13 @@ D under many colorings, so they group the search's cases by D over
 batches of colorings and check D against all of its owners in a batch at
 once: each check on the coloring is one expression over the batch's pair
 columns, one bit per coloring.  What depends on D alone (its paths,
-components and shape) is worked out once per D and run.  A coloring and
-its complement have the same homogeneous triples, so the same valid
-differences and critical pairs: claws searches one coloring of each
-complementary pair, and parity, r-sweep and connectivity search once for
+components and shape) is worked out once per D and run.  r-sweep reads
+which colorings have a critical pair from one ``critical_rows`` call on
+the columns of its whole sweep, a route independent of the search it
+checks them against.  A coloring and its complement have the same
+homogeneous triples, so the same valid differences: claws searches one
+coloring of each complementary pair, r-sweep searches once for each
+complementary pair of its sweep, and parity and connectivity once for
 each complementary pair that meets within a batch.  Failures are named
 in the order of a scan case by case: coloring, then D, then check.
 
@@ -64,7 +67,7 @@ from .coloring import (
     pair_count,
     pair_index,
 )
-from .critical import find_critical_pairs, flip_reconstruction
+from .critical import flip_reconstruction
 from .errors import ConsistencyError, HomrecError
 from .fixtures import partition_coloring
 from .parallel import run_sharded
@@ -469,13 +472,12 @@ def suite_r_sweep(
     def sweep(n: int, phis) -> None:
         nonlocal cases
         connected: dict[int, bool] = {}  # per minimal witness D
-
-        def facts(phi_bits: int) -> tuple[list[int], bool]:
-            # B-sets, and so critical pairs, do not change under complementation
-            phi = Coloring(n, phi_bits)
-            return _reconstruction_masks(phi), bool(find_critical_pairs(phi))
-
-        for phi_bits, (nontrivial, has_pair) in _complement_shared(n, phis, facts):
+        paired = 0  # the entries with a critical pair
+        for row in kernels.critical_rows(n, kernels.columns_of(n, phis), range(n)).values():
+            paired |= row
+        searched = _complement_shared(n, phis, lambda phi: _reconstruction_masks(Coloring(n, phi)))
+        for j, (phi_bits, nontrivial) in enumerate(searched):
+            has_pair = bool(paired >> j & 1)
             cases += 1
             if not nontrivial:
                 distribution["in_R"] = distribution.get("in_R", 0) + 1

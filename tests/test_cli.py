@@ -170,6 +170,20 @@ def test_analyze_rejects_non_integer_n(tmp_path, capsys):
         assert code == 2 and stdout == "" and "integer" in err
 
 
+def test_coloring_file_faults_exit_2(tmp_path, capsys):
+    faults = {
+        '{"n": 5, "ones": [[0, 1]], "bits_hex": "00"}': "exactly one of 'ones' and 'bits_hex'",
+        '{"n": 5, "ones": [[true, false]]}': "entries must be pairs of JSON integers",
+        '{"n": 5, "ones": [[0, 1.0]]}': "entries must be pairs of JSON integers",
+    }
+    src = tmp_path / "fault.json"
+    for text, message in faults.items():
+        src.write_text(text)
+        for command in ("analyze", "export-dot"):
+            code, stdout, err = run(capsys, command, str(src))
+            assert code == 2 and stdout == "" and message in err, (command, text)
+
+
 def test_analyze_structural_in_R_report_agrees_with_membership(tmp_path, capsys):
     # no critical pair or cycle, so structural r alone would be unknown;
     # the search that settles membership also settles r

@@ -294,6 +294,17 @@ def test_from_json_rejects_garbage():
             Coloring.from_json({"n": n, "ones": []})
 
 
+def test_from_json_rejects_both_forms_and_non_integer_vertices():
+    with pytest.raises(ValueError, match="exactly one of 'ones' and 'bits_hex'"):
+        Coloring.from_json({"n": 5, "ones": [[0, 1]], "bits_hex": "00"})
+    for pair in ([True, False], [0, True], [0.0, 1], ["0", 1], [None, 1], 3, [0, 1, 2]):
+        with pytest.raises(ValueError, match="entries must be pairs of JSON integers"):
+            Coloring.from_json({"n": 5, "ones": [[2, 3], pair]})
+    with pytest.raises(ValueError, match="must be a JSON array of pairs"):
+        Coloring.from_json({"n": 5, "ones": "01"})
+    assert Coloring.from_json({"n": 5, "ones": [[1, 0]]}) == Coloring(5, 1)
+
+
 def test_edge_set_members_round_trip():
     es = EdgeSet.from_pairs(5, [(3, 1), (0, 4)])
     assert es.members() == [(1, 3), (0, 4)]

@@ -1,8 +1,9 @@
-"""Byte-identity of suite output: the sha256 of ``homrec verify <suite>
+"""Byte-identity of machine output: the sha256 of ``homrec verify <suite>
 --json`` for all eight suites at default scale, for the seeded suites at
 the cut-down scale of the benchmark's suites workload, and for claws at
-n = 4 and n = 6.  A change that alters any byte of a suite's JSON fails
-here."""
+n = 4 and n = 6; and of ``homrec analyze --json`` on a fixed set of
+fixtures in every mode.  A change that alters any byte of a suite's JSON
+or of an analysis report fails here."""
 
 import hashlib
 
@@ -50,4 +51,30 @@ CASES = (
 @pytest.mark.parametrize("argv, digest", CASES, ids=[" ".join(argv[1:]) for argv, _ in CASES])
 def test_suite_json_is_byte_identical(argv, digest, capsys):
     assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# analyze on a generated fixture: auto mode is exhaustive through n = 8
+# (the first five) and structural above (alpha(9)); the last is forced
+ANALYZE = {
+    ("partition(7)",): "14aaff2b0c84a0749fbb941c1db74e5ddff394cb613fdd72abc5c4a6f0d94cd0",
+    ("alpha(7,0)",): "03296f30b758df5bab95f0d6ce35573decace1ece87f9d38e00e1ce2c99f92bf",
+    ("fig-no-critical-pair(6)",): (
+        "a4f7f23c3268aee3be65ea7e3c16b12fc4a9dcbdd99b1e19ca49f1d6c6e2fbb4"
+    ),
+    ("random(7,0.5,1)",): "6f735edc023831bb2882e38bd7e45e8669938a0f1d476f5528a0e4e7405917cf",
+    ("random(8,0.5,2)",): "e29839e48e978973354cc0100fdd4ebe7f8a7ea9c2f4e9ad804eb90083c99df8",
+    ("alpha(9)",): "52c1177b743c96440c8da60f00069bd7b1750c76f532a43ef81f9e1cceb72457",
+    ("random(20,0.5,3)", "--mode", "structural"): (
+        "0bf9dbcac8646e7ca7f5a5879d4e68032e95407a8ab6a6f6e3df3fb7bf6d00a6"
+    ),
+}
+
+
+@pytest.mark.parametrize("args, digest", ANALYZE.items(), ids=[" ".join(a) for a in ANALYZE])
+def test_analyze_json_is_byte_identical(args, digest, tmp_path, capsys):
+    fixture, *flags = args
+    path = tmp_path / "coloring.json"
+    assert main(["generate", fixture, "--out", str(path)]) == 0
+    assert main(["analyze", str(path), "--json", *flags]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

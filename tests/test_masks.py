@@ -5,6 +5,7 @@ before the masks: it reads pair colors straight from the colex bit
 string, so it shares nothing with ``Coloring.nbr`` or ``EdgeSet.adj``.
 """
 
+import json
 import random
 import subprocess
 import sys
@@ -441,6 +442,29 @@ def test_cli_import_leaves_networkx_out():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False\n"
+
+
+def test_theorem63_leaves_concurrent_futures_out(tmp_path):
+    # with HOMREC_THREADS unset theorem63 runs in the calling thread, so
+    # the thread pool is never imported
+    out = tmp_path / "theorem63.json"
+    code = """
+import sys, homrec.cli
+argv = ["verify", "theorem63", "--samples", "2", "--json", "--out", sys.argv[1]]
+assert homrec.cli.main(argv) == 0
+print("concurrent.futures" in sys.modules)
+"""
+    env = {"PYTHONPATH": str(Path(homrec.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(out)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+    assert json.loads(out.read_text())["suite"] == "theorem63"
 
 
 def test_commands_leave_numpy_out(tmp_path):

@@ -390,6 +390,37 @@ def test_pair_classes_match_the_reference_union_find():
             assert _search_space(phi)[0] == _ref_pair_classes(phi), (n, phi.bits)
 
 
+def _ref_constraints(phi: Coloring) -> set[tuple[int, int, int]]:
+    """Per non-homogeneous triple, the classes of ``_ref_pair_classes``
+    of its two pairs of one color (ascending), then of its odd pair."""
+    of_pair = {}
+    for c, members in enumerate(_ref_pair_classes(phi)):
+        for i in bits_of(members):
+            of_pair[i] = c
+    constraints = set()
+    for x, y, z in combinations(range(phi.n), 3):
+        pairs = [pair_index(x, y), pair_index(x, z), pair_index(y, z)]
+        ones = [i for i in pairs if phi.bits >> i & 1]
+        zeros = [i for i in pairs if not phi.bits >> i & 1]
+        if ones and zeros:
+            (u, v), (w,) = (ones, zeros) if len(ones) == 2 else (zeros, ones)
+            p, q = sorted((of_pair[u], of_pair[v]))
+            constraints.add((p, q, of_pair[w]))
+    return constraints
+
+
+def test_constraints_match_the_reference_classes():
+    for n in (3, 4, 5):
+        for bits in range(1 << pair_count(n)):
+            phi = Coloring(n, bits)
+            assert _search_space(phi)[1] == _ref_constraints(phi), (n, bits)
+    for n in (6, 7, 8):
+        rng = random.Random(95 + n)
+        for _ in range(200):
+            phi = Coloring(n, rng.getrandbits(pair_count(n)))
+            assert _search_space(phi)[1] == _ref_constraints(phi), (n, phi.bits)
+
+
 def _eighteen_classes() -> Coloring:
     """An extension of an atlas 7-vertex graph with 18 pair classes."""
     return Coloring(8, 0xD4AC625)

@@ -8,7 +8,7 @@ from itertools import islice
 
 import pytest
 
-from homrec import kernels, suites
+from homrec import kernels, parallel, suites
 from homrec.coloring import (
     Coloring,
     EdgeSet,
@@ -76,6 +76,14 @@ def test_suite_output_independent_of_threads(name, monkeypatch):
         result = run_suite(name, **SMALL_SCALES[name])
         payloads.append(json.dumps(result.to_json(), sort_keys=True))
     assert payloads[0] == payloads[1] == payloads[2]
+
+
+def test_thread_count_is_one_unless_set(monkeypatch):
+    monkeypatch.delenv("HOMREC_THREADS", raising=False)
+    assert parallel.thread_count() == 1
+    for raw, count in (("0", 1), ("1", 1), ("two", 1), ("-3", 1), ("3", 3)):
+        monkeypatch.setenv("HOMREC_THREADS", raw)
+        assert parallel.thread_count() == count, raw
 
 
 def test_suite_output_stable_across_runs(monkeypatch):
@@ -341,26 +349,25 @@ def _minimal_witnesses(n: int, phis) -> list[tuple[int, list[int]]]:
     return found
 
 
-def test_r_sweep_shares_a_critical_pair_scan_with_the_complement(monkeypatch):
-    # phi's scan is patched to miss its critical pairs; its complement
-    # reads phi's scan, while colorings met before phi keep their own
+def test_r_sweep_reads_critical_pairs_from_one_batch(monkeypatch):
+    # phi's bit is cleared from every critical-pair row of the n = 5 batch,
+    # so only phi is named; its complement keeps its own bit
     top = (1 << pair_count(5)) - 1
     witnessed = _minimal_witnesses(5, range(1 << pair_count(5)))
     phi = next(phi for phi, minimal in witnessed if minimal[0].bit_count() == 1)  # r = 1
-    assert phi < top ^ phi
-    scanned = []
-    original = suites.find_critical_pairs
+    asked = []
+    original = kernels.critical_rows
 
-    def patched(coloring):
-        scanned.append(coloring.bits)
-        return [] if coloring.bits == phi else original(coloring)
+    def patched(n, columns, vertices):
+        asked.append((n, tuple(vertices)))
+        rows = original(n, columns, vertices)
+        return {pair: row & ~(1 << phi) for pair, row in rows.items()} if n == 5 else rows
 
-    monkeypatch.setattr(suites, "find_critical_pairs", patched)
+    monkeypatch.setattr(suites.kernels, "critical_rows", patched)
     result = run_suite("r-sweep", samples=0)
-    assert result.failures == [
-        f"n=5 phi={bits:#x}: r=1 but critical pair False" for bits in (phi, top ^ phi)
-    ]
-    assert scanned == list(range(512))
+    assert result.failures == [f"n=5 phi={phi:#x}: r=1 but critical pair False"]
+    assert dict(witnessed)[top ^ phi][0].bit_count() == 1  # r = 1, not named
+    assert asked == [(5, tuple(range(5))), (6, tuple(range(6)))]
 
 
 def test_r_sweep_checks_each_minimal_witness_once(monkeypatch):

@@ -12,9 +12,7 @@ Subcommands:
 Exit codes: 0 success / suite passed, 1 suite failed, 2 bad input or
 usage.  Machine output is versioned JSON (schema_version); everything
 printed to stdout is deterministic for fixed inputs, seeds, and scales.
-The theorem63 suite, the only one that shards its work, runs in the
-calling thread unless the HOMREC_THREADS environment variable sets more
-worker threads; results do not depend on it.
+Every suite runs in the calling thread.
 """
 
 from __future__ import annotations
@@ -46,15 +44,20 @@ def _write(text: str, out: str | None) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise HomrecError(f"cannot write {out}: {exc}") from exc
 
 
 def _load_coloring(path: str, member: str) -> Coloring:
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise HomrecError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        obj = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise HomrecError(f"{path} is not valid JSON: {exc}") from exc
     if isinstance(obj, dict) and {"phi", "psi"} <= set(obj):
         if member not in ("phi", "psi", "sum"):

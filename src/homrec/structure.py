@@ -323,6 +323,26 @@ def _check_bits(**values: int) -> None:
             raise PreconditionError(f"{name} must be 0 or 1, got {value}")
 
 
+def _component_pair(m: int, c: int, phase: int, cycle: bool) -> tuple[Coloring, Coloring]:
+    """The canonical pair whose difference is the path 0-1-...-(m-1), or
+    with ``cycle`` the m-cycle: distances are measured along it, the edge
+    {i, i+1 mod m} gets phase XOR (i mod 2) and is flipped in psi, and
+    any other pair gets c at even distance, 1-c at odd."""
+    bits = flip = 0
+    for y in range(m):
+        for x in range(y):
+            d = min(y - x, m - (y - x)) if cycle else y - x
+            bit = 1 << pair_index(x, y)
+            if d == 1:
+                flip |= bit
+                color = phase ^ ((x if y - x == 1 else y) & 1)
+            else:
+                color = c if d % 2 == 0 else 1 - c
+            if color:
+                bits |= bit
+    return Coloring(m, bits), Coloring(m, bits ^ flip)
+
+
 def make_path_pair(m: int, c: int, phase: int) -> tuple[Coloring, Coloring]:
     """An H-equivalent pair whose difference is the path 0-1-...-(m-1).
 
@@ -333,23 +353,7 @@ def make_path_pair(m: int, c: int, phase: int) -> tuple[Coloring, Coloring]:
     if m < 4:
         raise TooSmallError(f"path pair needs m >= 4, got {m}")
     _check_bits(c=c, phase=phase)
-    bits = 0
-    for y in range(m):
-        for x in range(y):
-            d = y - x
-            if d == 1:
-                color = phase ^ (x & 1)
-            elif d % 2 == 0:
-                color = c
-            else:
-                color = 1 - c
-            if color:
-                bits |= 1 << pair_index(x, y)
-    phi = Coloring(m, bits)
-    flip = 0
-    for i in range(m - 1):
-        flip |= 1 << pair_index(i, i + 1)
-    return phi, Coloring(m, bits ^ flip)
+    return _component_pair(m, c, phase, cycle=False)
 
 
 def make_cycle_pair(m: int, c: int, phase: int) -> tuple[Coloring, Coloring]:
@@ -358,26 +362,7 @@ def make_cycle_pair(m: int, c: int, phase: int) -> tuple[Coloring, Coloring]:
     if m % 2 or m < 6:
         raise InvalidLengthError(f"cycle pair needs even m >= 6, got {m}")
     _check_bits(c=c, phase=phase)
-    bits = 0
-    for y in range(m):
-        for x in range(y):
-            d = min(y - x, m - (y - x))
-            if d == 1:
-                # cycle edge i -- i+1 mod m gets phase XOR (i mod 2)
-                i = x if y - x == 1 else y
-                color = phase ^ (i & 1)
-            elif d % 2 == 0:
-                color = c
-            else:
-                color = 1 - c
-            if color:
-                bits |= 1 << pair_index(x, y)
-    phi = Coloring(m, bits)
-    flip = 0
-    for i in range(m):
-        x, y = sorted((i, (i + 1) % m))
-        flip |= 1 << pair_index(x, y)
-    return phi, Coloring(m, bits ^ flip)
+    return _component_pair(m, c, phase, cycle=True)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Each suite checks one family of structural laws at a configurable scale
 and returns a :class:`SuiteResult` whose serialized form is deterministic:
-independent of thread count and identical across runs with the same seed.
+every suite runs in the calling thread, and runs with the same seed are
+byte-identical.
 Failures carry the first counterexample found in scan order.  The oracle
 sweeps the bit-sliced batch kernels of ``kernels`` (one int per pair, one
 bit per case): the one brute-force sweep left, kept to cross-check the
@@ -72,7 +73,7 @@ from .errors import ConsistencyError, HomrecError
 from .fixtures import partition_coloring
 from .parallel import run_sharded
 from .reconstruct import Verdict, _reconstruction_masks, in_R
-from .srcheck import alpha_coloring, theorem63_condition_c, verify_alpha
+from .srcheck import Theorem63Witness, alpha_coloring, theorem63_condition_c, verify_alpha
 from .structure import (
     ComponentKind,
     _chordless_paths,
@@ -223,21 +224,19 @@ def suite_oracle(
     )
 
 
-def _complement_shared(n: int, phis, fact):
-    """(phi, fact(phi)) for each coloring of ``phis`` in order, where
-    ``fact`` takes the same value on a coloring and its complement: it is
-    computed once per complementary pair, and a value is kept only while
+def _searches(n: int, phis):
+    """(phi, its non-trivial valid differences) for each coloring of
+    ``phis`` in order.  A coloring and its complement have the same valid
+    differences, so one search serves both; a result is kept only while
     the complement it stands for is still to come."""
     top = (1 << pair_count(n)) - 1
-    # no index when every complement lies above, or below, the whole input
-    apart = 2 * max(phis, default=0) < top or 2 * min(phis, default=top) > top
-    last = {} if apart else {phi: j for j, phi in enumerate(phis)}
-    kept: dict = {}
+    last = {phi: j for j, phi in enumerate(phis)}
+    kept: dict[int, list[int]] = {}
     for j, phi in enumerate(phis):
-        value = kept.pop(phi) if phi in kept else fact(phi)
+        found = kept.pop(phi) if phi in kept else _reconstruction_masks(Coloring(n, phi))
         if last.get(phi ^ top, -1) > j:
-            kept[phi ^ top] = value
-        yield phi, value
+            kept[phi ^ top] = found
+        yield phi, found
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +287,7 @@ def _owner_batches(n: int, phis, max_size: Optional[int] = None):
     for lo in range(0, len(phis), _BATCH):
         chunk = phis[lo : lo + _BATCH]
         owners: dict[int, int] = {}
-        searched = _complement_shared(n, chunk, lambda phi: _reconstruction_masks(Coloring(n, phi)))
-        for j, (_, nontrivial) in enumerate(searched):
+        for j, (_, nontrivial) in enumerate(_searches(n, chunk)):
             for d in nontrivial:
                 if max_size is None or d.bit_count() <= max_size:
                     owners[d] = owners.get(d, 0) | 1 << j
@@ -475,8 +473,7 @@ def suite_r_sweep(
         paired = 0  # the entries with a critical pair
         for row in kernels.critical_rows(n, kernels.columns_of(n, phis), range(n)).values():
             paired |= row
-        searched = _complement_shared(n, phis, lambda phi: _reconstruction_masks(Coloring(n, phi)))
-        for j, (phi_bits, nontrivial) in enumerate(searched):
+        for j, (phi_bits, nontrivial) in enumerate(_searches(n, phis)):
             has_pair = bool(paired >> j & 1)
             cases += 1
             if not nontrivial:
@@ -680,7 +677,9 @@ def suite_theorem63(
         for i, bits in enumerate(_sample_masks(n, samples, seed)):
             inputs.append((f"random(n={n},i={i})", Coloring(n, bits)))
 
-    def examine(item: tuple[str, Coloring]) -> tuple[str, bool, Optional[bool], Optional[str]]:
+    def examine(
+        item: tuple[str, Coloring],
+    ) -> tuple[Optional[Theorem63Witness], Optional[bool], Optional[str]]:
         tag, phi = item
         witness = theorem63_condition_c(phi)
         # below the regime where the dichotomy theorems hold, a witness is
@@ -688,26 +687,27 @@ def suite_theorem63(
         # converse empirically where membership is exhaustively decidable
         not_in_r = in_R(phi).verdict is Verdict.NOT_IN_R if phi.n <= 7 else None
         if witness is None:
-            return (tag, False, not_in_r, None)
+            return (witness, not_in_r, None)
         psi = flip_reconstruction(phi, witness.D)
         ok = h_equivalent(phi, psi) and psi != phi and psi != phi.complement()
-        return (tag, True, not_in_r, None if ok else f"{tag}: witness flip not a reconstruction")
+        return (witness, not_in_r, None if ok else f"{tag}: witness flip not a reconstruction")
 
     not_in_r_n7 = 0
     not_in_r_n7_with_witness = 0
-    for tag, found, not_in_r, problem in run_sharded(examine, inputs):
+    results = run_sharded(examine, inputs)
+    for witness, not_in_r, problem in results:
         cases += 1
-        if found:
+        if witness is not None:
             witnesses += 1
         if not_in_r:
             not_in_r_n7 += 1
-            if found:
+            if witness is not None:
                 not_in_r_n7_with_witness += 1
         if problem:
             _note(failures, problem)
 
-    # the partition fixture must produce a surviving witness
-    first = theorem63_condition_c(partition_coloring(8))
+    # the partition fixture, the first input, must produce a surviving witness
+    first = results[0][0]
     cases += 1
     if first is None or first.F != (0, 1, 2, 3) or first.D.members() != [(0, 1)]:
         _note(failures, "partition(8): expected witness F=(0,1,2,3), D={(0,1)}")

@@ -29,8 +29,7 @@ def _report(num: int, ok: bool, message: str) -> None:
     assert ok, message
 
 
-def test_criterion_1_oracle_equivalence(monkeypatch):
-    monkeypatch.setenv("HOMREC_THREADS", "1")
+def test_criterion_1_oracle_equivalence():
     start = time.monotonic()
     result = run_suite("oracle", n_exhaustive=5, random_ns=(6, 7, 8, 9), samples=10_000)
     elapsed = time.monotonic() - start
@@ -40,7 +39,7 @@ def test_criterion_1_oracle_equivalence(monkeypatch):
         ok,
         f"oracle equivalence: {result.cases} cases "
         f"(2^20 exhaustive at n=5, 10^4 random at n=6..9), "
-        f"{result.stats['mismatches']} mismatches, {elapsed:.1f}s single-threaded",
+        f"{result.stats['mismatches']} mismatches, {elapsed:.1f}s",
     )
 
 
@@ -162,19 +161,15 @@ SMALL_SCALES = {
 }
 
 
-def test_criterion_9_determinism(monkeypatch):
+def test_criterion_9_determinism():
     mismatched = []
     for name, scale in SMALL_SCALES.items():
-        payloads = []
-        for threads in ("1", "2", "8", "1"):  # trailing rerun: same-seed stability
-            monkeypatch.setenv("HOMREC_THREADS", threads)
-            result = run_suite(name, **scale)
-            payloads.append(json.dumps(result.to_json(), sort_keys=True))
-        if len(set(payloads)) != 1:
+        first, rerun = (json.dumps(run_suite(name, **scale).to_json()) for _ in range(2))
+        if first != rerun:
             mismatched.append(name)
     _report(
         9,
         not mismatched,
-        "determinism: every suite byte-identical across 1/2/8 threads and reruns"
+        "determinism: every suite byte-identical on a same-seed rerun"
         + ("" if not mismatched else f"; mismatches in {mismatched}"),
     )

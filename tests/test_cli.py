@@ -160,6 +160,34 @@ def test_analyze_malformed_input_exits_2(tmp_path, capsys):
     notcol = tmp_path / "notcol.json"
     notcol.write_text('{"foo": 3}')
     assert run(capsys, "analyze", str(notcol))[0] == 2
+    # files that cannot be read or parsed: a directory, bytes that are not
+    # UTF-8, arrays nested deeper than the JSON parser recurses
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff\xfe\x00")
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    for path in (tmp_path, undecodable, nested, missing):
+        code, stdout, err = run(capsys, "analyze", str(path))
+        assert code == 2 and stdout == "" and str(path) in err, path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "partition(6)"),
+        ("verify", "alpha", "--nmax", "8"),
+        ("analyze", "{src}"),
+        ("export-dot", "{src}"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    src = tmp_path / "p6.json"
+    src.write_text(json.dumps(partition_coloring(6).to_json()))
+    out = tmp_path / "missing" / "x.json"
+    args = [arg.format(src=src) for arg in argv]
+    code, stdout, err = run(capsys, *args, "--out", str(out))
+    assert code == 2 and stdout == "" and str(out) in err
 
 
 def test_analyze_rejects_non_integer_n(tmp_path, capsys):

@@ -445,8 +445,8 @@ def test_cli_import_leaves_networkx_out():
 
 
 def test_theorem63_leaves_concurrent_futures_out(tmp_path):
-    # with HOMREC_THREADS unset theorem63 runs in the calling thread, so
-    # the thread pool is never imported
+    # theorem63 runs in the calling thread, whatever the environment holds,
+    # so no thread pool is ever imported
     out = tmp_path / "theorem63.json"
     code = """
 import sys, homrec.cli
@@ -454,7 +454,7 @@ argv = ["verify", "theorem63", "--samples", "2", "--json", "--out", sys.argv[1]]
 assert homrec.cli.main(argv) == 0
 print("concurrent.futures" in sys.modules)
 """
-    env = {"PYTHONPATH": str(Path(homrec.__file__).parents[1])}
+    env = {"PYTHONPATH": str(Path(homrec.__file__).parents[1]), "HOMREC_THREADS": "8"}
     run = subprocess.run(
         [sys.executable, "-c", code, str(out)],
         capture_output=True,

@@ -1,4 +1,4 @@
-"""Verification suites: reduced-scale passes, thread determinism, the
+"""Verification suites: reduced-scale passes, same-seed stability, the
 counterexamples a failing suite reports, claws against the brute-force
 sweep, parity and connectivity at default scale, and their batch route
 against the scalar checks."""
@@ -8,7 +8,7 @@ from itertools import islice
 
 import pytest
 
-from homrec import kernels, parallel, suites
+from homrec import kernels, suites
 from homrec.coloring import (
     Coloring,
     EdgeSet,
@@ -68,26 +68,7 @@ def test_unknown_suite_rejected():
         run_suite("nope")
 
 
-@pytest.mark.parametrize("name", ["oracle", "r-sweep", "connectivity", "theorem63"])
-def test_suite_output_independent_of_threads(name, monkeypatch):
-    payloads = []
-    for threads in ("1", "2", "8"):
-        monkeypatch.setenv("HOMREC_THREADS", threads)
-        result = run_suite(name, **SMALL_SCALES[name])
-        payloads.append(json.dumps(result.to_json(), sort_keys=True))
-    assert payloads[0] == payloads[1] == payloads[2]
-
-
-def test_thread_count_is_one_unless_set(monkeypatch):
-    monkeypatch.delenv("HOMREC_THREADS", raising=False)
-    assert parallel.thread_count() == 1
-    for raw, count in (("0", 1), ("1", 1), ("two", 1), ("-3", 1), ("3", 3)):
-        monkeypatch.setenv("HOMREC_THREADS", raw)
-        assert parallel.thread_count() == count, raw
-
-
-def test_suite_output_stable_across_runs(monkeypatch):
-    monkeypatch.setenv("HOMREC_THREADS", "4")
+def test_suite_output_stable_across_runs():
     a = run_suite("r-sweep", samples=40)
     b = run_suite("r-sweep", samples=40)
     assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
@@ -303,19 +284,21 @@ def test_complementary_colorings_have_the_same_search_results():
             assert _reconstruction_masks(phi) == _reconstruction_masks(phi.complement())
 
 
-def test_complement_shared_computes_once_per_complementary_pair():
+def test_complement_shared_computes_once_per_complementary_pair(monkeypatch):
     top = (1 << pair_count(4)) - 1
     a, b = 0x05, 0x2A
     phis = [a, top ^ a, a, b, top ^ a, b]
     calls = []
+    original = suites._reconstruction_masks
 
-    def fact(phi: int) -> int:
-        calls.append(phi)
-        return min(phi, top ^ phi)
+    def counting(phi):
+        calls.append(phi.bits)
+        return original(phi)
 
-    shared = list(suites._complement_shared(4, phis, fact))
-    assert shared == [(phi, min(phi, top ^ phi)) for phi in phis]
-    # a value is kept only for a complement still to come, not for repeats
+    monkeypatch.setattr(suites, "_reconstruction_masks", counting)
+    shared = list(suites._searches(4, phis))
+    assert shared == [(phi, original(Coloring(4, phi))) for phi in phis]
+    # a result is kept only for a complement still to come, not for repeats
     assert calls == [a, b, b]
 
 

@@ -26,7 +26,7 @@ from .coloring import Coloring, EdgeSet, hom_sets, hom_triple_counts
 from .critical import witness_json
 from .errors import BudgetError, HomrecError
 from .fixtures import fixture_names, parse_fixture
-from .reconstruct import EXHAUSTIVE_MAX_N, STRUCTURAL_MAX_N, SearchMode, analyze
+from .reconstruct import STRUCTURAL_MAX_N, SearchMode, analyze
 from .structure import to_dot
 from .suites import SUITES, run_suite
 
@@ -83,14 +83,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _analysis(phi: Coloring, mode: str) -> dict:
-    ceiling = EXHAUSTIVE_MAX_N if mode == "exhaustive" else STRUCTURAL_MAX_N
-    if phi.n > ceiling:
-        raise BudgetError(f"analyze --mode {mode} takes n <= {ceiling}, got n={phi.n}")
-    if mode == "auto":
-        mode = "exhaustive" if phi.n <= EXHAUSTIVE_MAX_N else "structural"
-
     maximal = hom_sets(phi)  # first: it is the part that can exceed its bound
-    facts, membership, report = analyze(phi, SearchMode(mode))
+    facts, membership, report = analyze(phi, None if mode == "auto" else SearchMode(mode))
     return {
         "schema_version": SCHEMA_VERSION,
         "n": phi.n,
@@ -251,9 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("auto", "exhaustive", "structural"),
         default="auto",
-        help=f"r-value search mode (auto: exhaustive through n={EXHAUSTIVE_MAX_N}, "
-        f"structural above); exhaustive takes n <= {EXHAUSTIVE_MAX_N}, auto and "
-        f"structural take n <= {STRUCTURAL_MAX_N}",
+        help="r-value search mode (auto: exhaustive when the coloring's pair "
+        "classes fit the search, structural otherwise; exhaustive exits 2 when "
+        f"they do not fit); every mode takes n <= {STRUCTURAL_MAX_N}",
     )
     ana.add_argument("--member", default="phi", help="member of a pair file (phi/psi/sum)")
     ana.add_argument("--out", default=None)

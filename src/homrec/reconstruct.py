@@ -30,8 +30,8 @@ triple, repeats dropped.  The search evaluates those constraints on all
 class i's column is bit i of u: ``kernels.index_columns``), expands
 only the surviving unions into pair masks and orders them by size, then
 colex.
-It runs through n = 8, where no coloring has more than 18 classes; above
-that only the structural scans apply.
+Nothing here depends on n: the search runs at any n when phi has at most
+``_MAX_CLASSES`` classes; above that only the structural scans apply.
 
 Membership takes the first witness among the critical pairs, the critical
 cycles and the search; r takes the search (exhaustive mode) or the scans
@@ -48,7 +48,6 @@ from .coloring import Coloring, EdgeSet, pair_count, triple_pairs
 from .critical import CriticalCycleWitness, find_critical_cycles, find_critical_pairs
 from .errors import (
     BudgetError,
-    ConsistencyError,
     DimensionMismatchError,
     NotApplicableError,
     PreconditionError,
@@ -74,13 +73,10 @@ __all__ = [
     "r_value",
 ]
 
-# The exhaustive ceiling.  Through n = 8 a coloring has at most 18 pair
-# classes, 2^18 unions for the search; above it auto mode reports the
-# structural scans, so raising the ceiling would change reports.
-EXHAUSTIVE_MAX_N = 8
 # The structural ceiling: one O(n^5) critical-cycle scan takes seconds at n = 60.
 STRUCTURAL_MAX_N = 64
-# The most pair classes the search evaluates: the maximum over n <= 8.
+# The search's budget: 2^18 unions of at most 18 pair classes.  It is the
+# maximum over n <= 8, so every coloring there is searched.
 _MAX_CLASSES = 18
 
 
@@ -225,17 +221,13 @@ def _search_space(phi: Coloring) -> tuple[list[int], set[tuple[int, int, int]]]:
     return classes, constraints
 
 
-def _reconstruction_masks(phi: Coloring) -> list[int]:
-    """Every non-trivial valid difference of phi as a mask, in
-    size-then-colex order (colex is numeric order within one size)."""
-    if phi.n > EXHAUSTIVE_MAX_N:
-        raise BudgetError(
-            f"exhaustive search infeasible for n={phi.n} (ceiling n={EXHAUSTIVE_MAX_N})"
-        )
-    classes, constraints = _search_space(phi)
+def _reconstruction_masks(phi: Coloring, space: Optional[tuple] = None) -> list[int]:
+    """Every non-trivial valid difference of phi, searched in ``space`` (its
+    ``_search_space``) if given, as masks in size-then-colex order."""
+    classes, constraints = space or _search_space(phi)
     k = len(classes)
     if k > _MAX_CLASSES:
-        raise ConsistencyError(f"{k} pair classes at n={phi.n}, more than {_MAX_CLASSES}")
+        raise BudgetError(f"search: {k} pair classes at n={phi.n}, more than {_MAX_CLASSES}")
     # a union breaks the triple when it takes p and q alike and r otherwise
     columns = index_columns(k)
     ok = (1 << (1 << k)) - 1
@@ -278,19 +270,26 @@ class Facts(NamedTuple):
     pairs: list[tuple[int, int]]
     cycles: list[CriticalCycleWitness]
     masks: Optional[list[int]]  # None: the search did not run
+    mode: SearchMode
 
 
-def _facts(phi: Coloring, mode: SearchMode, whole: bool) -> Facts:
-    """Critical pairs, critical cycles (n >= 5) and the search (n <= 8).
-    The cycle scan runs in full when ``whole`` (a report lists every
-    cycle), else only when no critical pair exists; the search runs
-    always in exhaustive mode, else only when neither scan found one."""
-    masks = _reconstruction_masks(phi) if mode is SearchMode.EXHAUSTIVE else None
+def _facts(phi: Coloring, mode: Optional[SearchMode], whole: bool) -> Facts:
+    """Critical pairs, critical cycles (n >= 5) and, if the pair classes
+    fit, the search: always in exhaustive mode (no mode: exhaustive when
+    they fit), else only if neither scan found a witness.  The cycle scan
+    runs in full when ``whole`` (for a report), else only without a pair."""
+    space = None if mode is SearchMode.STRUCTURAL_ONLY else _search_space(phi)
+    if mode is None:
+        fits = len(space[0]) <= _MAX_CLASSES
+        mode = SearchMode.EXHAUSTIVE if fits else SearchMode.STRUCTURAL_ONLY
+    masks = _reconstruction_masks(phi, space) if mode is SearchMode.EXHAUSTIVE else None
     pairs = find_critical_pairs(phi)
     cycles = find_critical_cycles(phi) if phi.n >= 5 and (whole or not pairs) else []
-    if masks is None and not (pairs or cycles) and phi.n <= EXHAUSTIVE_MAX_N:
-        masks = _reconstruction_masks(phi)
-    return Facts(pairs, cycles, masks)
+    if masks is None and not (pairs or cycles):
+        space = space or _search_space(phi)
+        if len(space[0]) <= _MAX_CLASSES:
+            masks = _reconstruction_masks(phi, space)
+    return Facts(pairs, cycles, masks, mode)
 
 
 def _membership(phi: Coloring, facts: Facts) -> RMembership:
@@ -307,9 +306,9 @@ def _membership(phi: Coloring, facts: Facts) -> RMembership:
     return RMembership(Verdict.NOT_IN_R, make_witness(phi, diff))
 
 
-def _report(phi: Coloring, mode: SearchMode, facts: Facts) -> RValueReport:
+def _report(phi: Coloring, facts: Facts) -> RValueReport:
     """r as ``r_value`` defines it, read off the search or the scans."""
-    if mode is SearchMode.EXHAUSTIVE:
+    if facts.mode is SearchMode.EXHAUSTIVE:
         r = facts.masks[0].bit_count() if facts.masks else None
         diffs = [EdgeSet(phi.n, m) for m in facts.masks if m.bit_count() == r]
         complete = True
@@ -321,7 +320,7 @@ def _report(phi: Coloring, mode: SearchMode, facts: Facts) -> RValueReport:
         diffs = [c.edges for c in facts.cycles]
     else:
         r, diffs, complete = None, [], False
-    return RValueReport(r, tuple(make_witness(phi, d) for d in diffs), mode, complete)
+    return RValueReport(r, tuple(make_witness(phi, d) for d in diffs), facts.mode, complete)
 
 
 def in_R(phi: Coloring) -> RMembership:
@@ -329,7 +328,7 @@ def in_R(phi: Coloring) -> RMembership:
 
     Critical pairs and cycles are scanned first (sound shortcuts to
     NOT_IN_R); otherwise the difference space is searched exhaustively
-    through n = 8, and the verdict is UNKNOWN above that.
+    if phi's pair classes fit the search, and the verdict is UNKNOWN if not.
     """
     if phi.n < 3:
         raise TooSmallError(f"membership needs n >= 3, got {phi.n}")
@@ -339,26 +338,29 @@ def in_R(phi: Coloring) -> RMembership:
 def r_value(phi: Coloring, mode: SearchMode = SearchMode.EXHAUSTIVE) -> RValueReport:
     """The minimal-reconstruction number and all its minimal witnesses.
 
-    Exhaustive mode covers the whole difference space, through n = 8, and
-    is complete.  Structural mode only scans critical pairs (r = 1,
-    complete: the size-1 space is covered) and critical cycles (r = 4
-    reported, not complete below the regime where the dichotomy theorems
-    apply); with neither found it reports unknown.
+    Exhaustive mode searches the whole difference space, complete, if the
+    pair classes fit (else ``BudgetError``).  Structural mode only scans
+    critical pairs (r = 1, complete: the size-1 space is covered) and
+    critical cycles (r = 4 reported, not complete below the regime where
+    the dichotomy theorems apply); with neither found it reports unknown.
     """
     if phi.n < 3:
         raise TooSmallError(f"r-value needs n >= 3, got {phi.n}")
-    return _report(phi, mode, _facts(phi, mode, whole=False))
+    return _report(phi, _facts(phi, mode, whole=False))
 
 
-def analyze(phi: Coloring, mode: SearchMode) -> tuple[Facts, RMembership, RValueReport]:
+def analyze(
+    phi: Coloring, mode: Optional[SearchMode] = None
+) -> tuple[Facts, RMembership, RValueReport]:
     """Every critical pair and cycle, membership and the r report of phi
-    from one pass: each scan and the search run at most once.  An IN_R
-    verdict makes r not applicable, complete, in either mode."""
+    from one pass: each scan and the search run at most once; no mode
+    means exhaustive exactly when the pair classes fit.  An IN_R verdict
+    makes r not applicable, complete, in either mode."""
     facts = _facts(phi, mode, whole=True)
     membership = _membership(phi, facts)
     if membership.verdict is Verdict.IN_R:
-        return facts, membership, RValueReport(None, (), mode, complete=True)
-    return facts, membership, _report(phi, mode, facts)
+        return facts, membership, RValueReport(None, (), facts.mode, complete=True)
+    return facts, membership, _report(phi, facts)
 
 
 def minimal_reconstructions(phi: Coloring) -> list[ReconstructionWitness]:

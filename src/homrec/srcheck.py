@@ -35,6 +35,7 @@ pair and no critical cycle as a whole.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -48,7 +49,7 @@ from .errors import (
     PreconditionError,
     TooSmallError,
 )
-from .reconstruct import EXHAUSTIVE_MAX_N, Verdict, in_R, is_valid_difference
+from .reconstruct import Verdict, _search_space, in_R, is_valid_difference
 
 __all__ = [
     "AlphaReport",
@@ -112,19 +113,21 @@ class SRReport:
 
 def is_SR_finite(phi: Coloring, max_g: int) -> SRReport:
     """For every 4-set F, search supersets G (|G| <= max_g, smallest
-    first) whose restriction has only trivial reconstructions."""
+    first) whose restriction has only trivial reconstructions.  A G of
+    unknown membership raises ``BudgetError``: it is not a failure."""
     if phi.n < 4:
         raise TooSmallError(f"SR check needs n >= 4, got {phi.n}")
     if max_g < 4:
         raise PreconditionError(f"max_g must be at least 4, got {max_g}")
-    if max_g > EXHAUSTIVE_MAX_N:
-        raise BudgetError(f"max_g={max_g} above the exhaustive ceiling {EXHAUSTIVE_MAX_N}")
-    memo: dict[tuple[int, ...], bool] = {}
 
+    @cache
     def reconstructible(g: tuple[int, ...]) -> bool:
-        if g not in memo:
-            memo[g] = in_R(restrict(phi, g)).verdict is Verdict.IN_R
-        return memo[g]
+        sub = restrict(phi, g)
+        verdict = in_R(sub).verdict
+        if verdict is Verdict.UNKNOWN:
+            k = len(_search_space(sub)[0])
+            raise BudgetError(f"restriction to {g} has {k} pair classes: membership unknown")
+        return verdict is Verdict.IN_R
 
     per_f: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
     failing: Optional[tuple[int, int, int, int]] = None

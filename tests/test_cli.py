@@ -112,13 +112,14 @@ def test_analyze_ncp_figure(tmp_path, capsys):
     assert report["r_report"]["r"] == 4
 
 
-def test_analyze_alpha12_structural(tmp_path, capsys):
-    out = tmp_path / "a12.json"
-    run(capsys, "generate", "alpha(12)", "--out", str(out))
+def test_analyze_alpha17_structural(tmp_path, capsys):
+    # 19 pair classes, one more than the search takes: auto mode is structural
+    out = tmp_path / "a17.json"
+    run(capsys, "generate", "alpha(17)", "--out", str(out))
     code, stdout, _ = run(capsys, "analyze", str(out), "--json")
     report = json.loads(stdout)
     assert code == 0
-    assert [0, 11] in report["critical_pairs"]
+    assert [0, 16] in report["critical_pairs"]
     assert report["critical_cycles"] == []
     assert report["membership"]["verdict"] == "not_in_R"
     assert report["r_report"]["mode"] == "structural"
@@ -228,7 +229,7 @@ def test_analyze_structural_in_R_report_agrees_with_membership(tmp_path, capsys)
     assert "r                   not applicable (mode=structural, complete=True)" in stdout
 
 
-_FACTS = ("find_critical_pairs", "find_critical_cycles", "_reconstruction_masks")
+_FACTS = ("find_critical_pairs", "find_critical_cycles", "_search_space", "_reconstruction_masks")
 
 
 @pytest.fixture
@@ -250,7 +251,7 @@ def fact_calls(monkeypatch):
 
 @pytest.mark.parametrize(
     "n, mode",
-    [(200, "structural"), (200, "exhaustive"), (200, "auto"), (65, "structural"), (9, "exhaustive")],
+    [(200, "structural"), (200, "exhaustive"), (200, "auto"), (65, "structural")],
 )
 def test_analyze_rejects_n_above_the_mode_ceiling(tmp_path, capsys, fact_calls, n, mode):
     src = tmp_path / "big.json"
@@ -260,12 +261,24 @@ def test_analyze_rejects_n_above_the_mode_ceiling(tmp_path, capsys, fact_calls, 
     assert fact_calls == dict.fromkeys(_FACTS, 0)
 
 
+def test_analyze_exhaustive_rejects_more_classes_than_the_search_takes(
+    tmp_path, capsys, fact_calls
+):
+    src = tmp_path / "p9.json"
+    run(capsys, "generate", "partition(9)", "--out", str(src))
+    code, stdout, err = run(capsys, "analyze", str(src), "--mode", "exhaustive")
+    assert code == 2 and stdout == "" and "22 pair classes" in err
+    assert fact_calls["find_critical_pairs"] == fact_calls["find_critical_cycles"] == 0
+
+
 @pytest.mark.parametrize(
     "fixture, flags",
     [
         ("random(7,0.5,1)", ()),  # no critical structure
         ("partition(7)", ()),
         ("random(12,0.5,3)", ("--mode", "structural")),
+        ("random(20,0.5,3)", ()),  # two pair classes: exhaustive above n = 8
+        ("alpha(17)", ()),  # 19 pair classes: structural
     ],
 )
 def test_analyze_computes_each_fact_once(tmp_path, capsys, fact_calls, fixture, flags):

@@ -54,8 +54,10 @@ def test_suite_json_is_byte_identical(argv, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-# analyze on a generated fixture: auto mode is exhaustive through n = 8
-# (the first five) and structural above (alpha(9)); the last is forced
+# analyze on a generated fixture.  Auto mode is exhaustive when the pair
+# classes fit the search: every coloring through n = 8, alpha(9) (11
+# classes), alpha(16) (18) and random(20,0.5,3) (2).  alpha(17) has 19 and
+# is structural.  The last pin forces structural mode.
 ANALYZE = {
     ("partition(7)",): "14aaff2b0c84a0749fbb941c1db74e5ddff394cb613fdd72abc5c4a6f0d94cd0",
     ("alpha(7,0)",): "03296f30b758df5bab95f0d6ce35573decace1ece87f9d38e00e1ce2c99f92bf",
@@ -64,9 +66,12 @@ ANALYZE = {
     ),
     ("random(7,0.5,1)",): "6f735edc023831bb2882e38bd7e45e8669938a0f1d476f5528a0e4e7405917cf",
     ("random(8,0.5,2)",): "e29839e48e978973354cc0100fdd4ebe7f8a7ea9c2f4e9ad804eb90083c99df8",
-    ("alpha(9)",): "52c1177b743c96440c8da60f00069bd7b1750c76f532a43ef81f9e1cceb72457",
+    ("alpha(9)",): "4fc66a957f629d4f99d477e966ba493aad1733558003dc9bcaa6dfca9c93a236",
+    ("alpha(16)",): "69a252891f0983caf168e87a1b905a0b95f070f7c0c1e389b6ae4cfc479208a1",
+    ("alpha(17)",): "57c5d1c33784447f3c916e25d4d87eb9deb20cd95943c1f01808fb6e86b3f44d",
+    ("random(20,0.5,3)",): "cea64f4a41d82909a8fe6bf2cfaaf47ee7ade65aea86188ec4e39c3663480f1e",
     ("random(20,0.5,3)", "--mode", "structural"): (
-        "0bf9dbcac8646e7ca7f5a5879d4e68032e95407a8ab6a6f6e3df3fb7bf6d00a6"
+        "4df7891f331445e4f635915d0df8b02d16c36adfff23b2b0eff83b0140fd1150"
     ),
 }
 

@@ -21,13 +21,18 @@ from homrec.coloring import (
 from homrec.critical import find_critical_cycles, find_critical_pairs
 from homrec.errors import (
     BudgetError,
-    ConsistencyError,
     DimensionMismatchError,
     NotApplicableError,
     PreconditionError,
 )
-from homrec.fixtures import fig_critical_cycle, fig_two_cycles, partition_coloring
+from homrec.fixtures import (
+    fig_critical_cycle,
+    fig_two_cycles,
+    partition_coloring,
+    random_coloring,
+)
 from homrec.reconstruct import (
+    RMembership,
     SearchMode,
     Verdict,
     _reconstruction_masks,
@@ -142,7 +147,11 @@ def test_homsum_not_in_R_with_small_witness(homsum_pair):
 
 
 def test_in_R_large_n_without_structure_is_unknown():
-    assert in_R(Coloring.zero(9)).verdict is Verdict.UNKNOWN
+    # 20 pair classes, more than the search takes, and no critical pair or cycle
+    phi = Coloring(12, 0x1572EAAB75DCAAD43)
+    assert len(_search_space(phi)[0]) == 20
+    assert not find_critical_pairs(phi) and not find_critical_cycles(phi)
+    assert in_R(phi) == RMembership(Verdict.UNKNOWN, None)
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +193,15 @@ def test_r_structural_modes(partition6, no_critical_pair6):
 
 
 def test_r_exhaustive_refuses_large_n():
-    with pytest.raises(BudgetError):
-        r_value(Coloring.zero(9))
-    with pytest.raises(BudgetError):
-        list(enumerate_reconstructions(Coloring.zero(9), max_size=1))
-    report = r_value(Coloring.zero(8))  # n = 8 is within the exhaustive ceiling
+    phi = partition_coloring(9)  # 22 pair classes
+    with pytest.raises(BudgetError, match="22 pair classes at n=9, more than 18"):
+        r_value(phi)
+    with pytest.raises(BudgetError, match="22 pair classes"):
+        list(enumerate_reconstructions(phi, max_size=1))
+    # one pair class: the search runs above n = 8
+    report = r_value(Coloring.zero(9))
     assert report.r is None and report.complete
+    assert in_R(Coloring.zero(9)) == RMembership(Verdict.IN_R, None)
 
 
 def test_r_report_json(partition6):
@@ -470,8 +482,54 @@ def test_eighteen_classes_is_the_n8_maximum():
 
 def test_search_refuses_more_classes_than_its_ceiling(monkeypatch):
     monkeypatch.setattr(reconstruct, "_MAX_CLASSES", 17)
-    with pytest.raises(ConsistencyError, match="18 pair classes at n=8, more than 17"):
+    with pytest.raises(BudgetError, match="18 pair classes at n=8, more than 17"):
         _reconstruction_masks(partition_coloring(8))
     phi = partition_coloring(7)
     assert len(_search_space(phi)[0]) <= 17
     assert _reconstruction_masks(phi) == _expanded_masks(phi)
+
+
+def _with_critical_square(phi: Coloring) -> Coloring:
+    """phi with a critical cycle planted on (0, 1, 2, 3): the square of
+    fig-no-critical-pair, and every other vertex joined to 0 and 2 in one
+    color and to 1 and 3 in the other."""
+    bits = phi.bits
+    square = ((0, 1, 0), (1, 2, 1), (2, 3, 0), (0, 3, 1), (0, 2, 0), (1, 3, 1))
+    joins = [(x, z, phi.get(0, z) ^ (x & 1)) for z in range(4, phi.n) for x in (1, 2, 3)]
+    for x, y, color in square + tuple(joins):
+        i = pair_index(x, y)
+        bits = bits & ~(1 << i) | color << i
+    return Coloring(phi.n, bits)
+
+
+def test_search_beyond_n8_agrees_with_both_routes_and_the_scans():
+    """Above n = 8 the search runs wherever the pair classes fit: each of
+    its witnesses passes the local criterion and the signature route, its
+    size-1 witnesses are the critical pairs, each critical cycle is a
+    size-4 witness, and a cycle without a critical pair makes r = 4."""
+    phis = []
+    for n in range(9, 17):
+        for density in (0.3, 0.5, 0.7):
+            for seed in range(4):
+                phi = random_coloring(n, density, seed)
+                phis += [phi, _with_critical_square(phi)]
+    searched = r4 = 0
+    for phi in phis:
+        space = _search_space(phi)
+        if len(space[0]) > reconstruct._MAX_CLASSES:
+            continue
+        searched += 1
+        masks = _reconstruction_masks(phi, space)
+        for mask in masks:
+            assert is_valid_difference(phi, EdgeSet(phi.n, mask)), (phi.n, hex(phi.bits))
+            assert h_equivalent(phi, Coloring(phi.n, phi.bits ^ mask)), (phi.n, hex(phi.bits))
+        pairs = find_critical_pairs(phi)
+        singles = [m for m in masks if m.bit_count() == 1]
+        assert singles == [EdgeSet.from_pairs(phi.n, [p]).mask for p in pairs]
+        cycles = find_critical_cycles(phi)
+        fours = {m for m in masks if m.bit_count() == 4}
+        assert all(c.edges.mask in fours for c in cycles), (phi.n, hex(phi.bits))
+        if cycles and not pairs:
+            assert masks[0].bit_count() == 4
+            r4 += 1
+    assert searched >= 180 and r4 >= 80, (searched, r4)

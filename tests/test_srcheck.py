@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import homrec
-
+from homrec import reconstruct
 from homrec.coloring import (
     Coloring,
     EdgeSet,
@@ -258,13 +258,22 @@ def test_sr_alpha10_fails_exactly_on_sets_containing_0():
     assert report.per_F[(1, 2, 4, 6)] == (1, 2, 4, 6)  # an all-one restriction
 
 
-def test_sr_takes_the_exhaustive_ceiling_of_eight():
-    # 8-vertex restrictions are decided exactly; a smallest qualifying
-    # superset never exceeds 7 here, so the larger search agrees
-    for phi in (alpha_coloring(10), partition_coloring(9)):
-        big, small = is_SR_finite(phi, 8), is_SR_finite(phi, 7)
-        assert big.max_g == 8
+def test_sr_takes_supersets_beyond_eight():
+    # restrictions above 8 vertices are decided too; a smallest qualifying
+    # superset never exceeds 7 here, so the search up to all of phi agrees
+    for phi in (alpha_coloring(10), partition_coloring(9), partition_coloring(10)):
+        big, small = is_SR_finite(phi, phi.n), is_SR_finite(phi, 7)
+        assert big.max_g == phi.n
         assert (big.holds, big.failing_F, big.per_F) == (small.holds, small.failing_F, small.per_F)
+
+
+def test_sr_refuses_a_restriction_of_unknown_membership(monkeypatch):
+    # with the search's budget cut to 2 classes, alpha(8) reaches a
+    # restriction with 3 classes and no critical pair or cycle: its
+    # membership is unknown, which must not count as "not reconstructible"
+    monkeypatch.setattr(reconstruct, "_MAX_CLASSES", 2)
+    with pytest.raises(BudgetError, match=r"restriction to \(1, 2, 3, 4, 5\) has 3 pair classes"):
+        is_SR_finite(alpha_coloring(8), 6)
 
 
 def _has_finite_e_property(phi, color, up_to):
@@ -294,8 +303,7 @@ def test_e_property_implication_on_alpha_and_partition():
 def test_sr_validation():
     with pytest.raises(TooSmallError):
         is_SR_finite(Coloring.zero(3), 5)
-    with pytest.raises(BudgetError):
-        is_SR_finite(Coloring.zero(9), 9)
+    assert is_SR_finite(Coloring.zero(9), 9).holds  # no ceiling on max_g
     with pytest.raises(PreconditionError):
         is_SR_finite(Coloring.zero(7), 3)
 

@@ -22,7 +22,6 @@ triples, which is what :func:`h_equivalent` compares.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -240,10 +239,6 @@ class Coloring:
                 )
         return cls.from_ones(n, ones)
 
-    @classmethod
-    def from_json_str(cls, text: str) -> "Coloring":
-        return cls.from_json(json.loads(text))
-
 
 def boolean_sum(phi: Coloring, psi: Coloring) -> Coloring:
     """Pairwise XOR; its 1-set is exactly where the colorings differ."""
@@ -316,11 +311,6 @@ class EdgeSet:
     def ones_of(cls, phi: Coloring) -> "EdgeSet":
         """The edge set D1(phi) of pairs colored 1."""
         return cls(phi.n, phi.bits)
-
-    @classmethod
-    def zeros_of(cls, phi: Coloring) -> "EdgeSet":
-        """The edge set D0(phi) of pairs colored 0."""
-        return cls(phi.n, phi.bits ^ ((1 << pair_count(phi.n)) - 1))
 
     def members(self) -> list[tuple[int, int]]:
         pairs = pairs_of(self.n)

@@ -34,8 +34,8 @@ Nothing here depends on n: the search runs at any n when phi has at most
 ``_MAX_CLASSES`` classes; above that only the structural scans apply.
 
 Membership takes the first witness among the critical pairs, the critical
-cycles and the search; r takes the search (exhaustive mode) or the scans
-(structural mode).  ``analyze`` computes each of these facts once.
+cycles and the search; r takes the search wherever it ran, else the scans.
+``analyze`` computes each of these facts once.
 """
 
 from __future__ import annotations
@@ -87,6 +87,9 @@ class Verdict(Enum):
 
 
 class SearchMode(Enum):
+    """How much an analysis may spend.  Wherever the search can run, the
+    mode changes the cost, not the answer."""
+
     EXHAUSTIVE = "exhaustive"
     STRUCTURAL_ONLY = "structural"
 
@@ -276,7 +279,7 @@ class Facts(NamedTuple):
 def _facts(phi: Coloring, mode: Optional[SearchMode], whole: bool) -> Facts:
     """Critical pairs, critical cycles (n >= 5) and, if the pair classes
     fit, the search: always in exhaustive mode (no mode: exhaustive when
-    they fit), else only if neither scan found a witness.  The cycle scan
+    they fit), else only if no critical pair gives r = 1.  The cycle scan
     runs in full when ``whole`` (for a report), else only without a pair."""
     space = None if mode is SearchMode.STRUCTURAL_ONLY else _search_space(phi)
     if mode is None:
@@ -285,7 +288,7 @@ def _facts(phi: Coloring, mode: Optional[SearchMode], whole: bool) -> Facts:
     masks = _reconstruction_masks(phi, space) if mode is SearchMode.EXHAUSTIVE else None
     pairs = find_critical_pairs(phi)
     cycles = find_critical_cycles(phi) if phi.n >= 5 and (whole or not pairs) else []
-    if masks is None and not (pairs or cycles):
+    if masks is None and not pairs:
         space = space or _search_space(phi)
         if len(space[0]) <= _MAX_CLASSES:
             masks = _reconstruction_masks(phi, space)
@@ -307,8 +310,9 @@ def _membership(phi: Coloring, facts: Facts) -> RMembership:
 
 
 def _report(phi: Coloring, facts: Facts) -> RValueReport:
-    """r as ``r_value`` defines it, read off the search or the scans."""
-    if facts.mode is SearchMode.EXHAUSTIVE:
+    """r as ``r_value`` defines it, read off the search wherever it ran,
+    else the scans."""
+    if facts.masks is not None:
         r = facts.masks[0].bit_count() if facts.masks else None
         diffs = [EdgeSet(phi.n, m) for m in facts.masks if m.bit_count() == r]
         complete = True
@@ -326,9 +330,9 @@ def _report(phi: Coloring, facts: Facts) -> RValueReport:
 def in_R(phi: Coloring) -> RMembership:
     """Decide whether the only reconstructions of phi are the trivial ones.
 
-    Critical pairs and cycles are scanned first (sound shortcuts to
-    NOT_IN_R); otherwise the difference space is searched exhaustively
-    if phi's pair classes fit the search, and the verdict is UNKNOWN if not.
+    Critical pairs are scanned first, and without one critical cycles
+    (sound shortcuts to NOT_IN_R) and the search if phi's pair classes
+    fit it; the verdict is UNKNOWN when neither scan nor search decides.
     """
     if phi.n < 3:
         raise TooSmallError(f"membership needs n >= 3, got {phi.n}")
@@ -339,10 +343,12 @@ def r_value(phi: Coloring, mode: SearchMode = SearchMode.EXHAUSTIVE) -> RValueRe
     """The minimal-reconstruction number and all its minimal witnesses.
 
     Exhaustive mode searches the whole difference space, complete, if the
-    pair classes fit (else ``BudgetError``).  Structural mode only scans
+    pair classes fit (else ``BudgetError``).  Structural mode first scans
     critical pairs (r = 1, complete: the size-1 space is covered) and
-    critical cycles (r = 4 reported, not complete below the regime where
-    the dichotomy theorems apply); with neither found it reports unknown.
+    searches whenever none is found and the classes fit, so it answers
+    as exhaustive mode does.  Only past the search's reach does it report
+    critical cycles (r = 4, not complete below the regime where the
+    dichotomy theorems apply), or with none found unknown.
     """
     if phi.n < 3:
         raise TooSmallError(f"r-value needs n >= 3, got {phi.n}")
@@ -355,12 +361,9 @@ def analyze(
     """Every critical pair and cycle, membership and the r report of phi
     from one pass: each scan and the search run at most once; no mode
     means exhaustive exactly when the pair classes fit.  An IN_R verdict
-    makes r not applicable, complete, in either mode."""
+    comes only from the search, so r is then not applicable, complete."""
     facts = _facts(phi, mode, whole=True)
-    membership = _membership(phi, facts)
-    if membership.verdict is Verdict.IN_R:
-        return facts, membership, RValueReport(None, (), facts.mode, complete=True)
-    return facts, membership, _report(phi, facts)
+    return facts, _membership(phi, facts), _report(phi, facts)
 
 
 def minimal_reconstructions(phi: Coloring) -> list[ReconstructionWitness]:

@@ -12,14 +12,7 @@ from homrec.cli import _analysis, main
 from homrec.coloring import HOM_SETS_MAX, Coloring, EdgeSet, pair_count
 from homrec.critical import find_critical_cycles, find_critical_pairs, witness_json
 from homrec.fixtures import partition_coloring, random_coloring
-from homrec.reconstruct import (
-    RValueReport,
-    SearchMode,
-    Verdict,
-    in_R,
-    is_valid_difference,
-    r_value,
-)
+from homrec.reconstruct import SearchMode, in_R, is_valid_difference, r_value
 
 
 def run(capsys, *argv):
@@ -290,12 +283,9 @@ def test_analyze_computes_each_fact_once(tmp_path, capsys, fact_calls, fixture, 
 
 
 def _expected_analysis(actual: dict, phi: Coloring, mode: str) -> dict:
-    search = SearchMode(mode)
     cycles = find_critical_cycles(phi) if phi.n >= 5 else []
     membership = in_R(phi)
-    report = r_value(phi, search)
-    if membership.verdict is Verdict.IN_R:
-        report = RValueReport(None, (), search, complete=True)
+    report = r_value(phi, SearchMode(mode))
     witness = membership.witness
     return {
         **actual,

@@ -57,7 +57,10 @@ def test_suite_json_is_byte_identical(argv, digest, capsys):
 # analyze on a generated fixture.  Auto mode is exhaustive when the pair
 # classes fit the search: every coloring through n = 8, alpha(9) (11
 # classes), alpha(16) (18) and random(20,0.5,3) (2).  alpha(17) has 19 and
-# is structural.  The last pin forces structural mode.
+# is structural.  The last three pins force structural mode, which reads r
+# from the search wherever no critical pair gives r = 1 and the classes
+# fit: fig-no-critical-pair(6) has only a critical cycle (r = 4, complete)
+# and random(6,0.5,12) neither a pair nor a cycle (r = 7, complete).
 ANALYZE = {
     ("partition(7)",): "14aaff2b0c84a0749fbb941c1db74e5ddff394cb613fdd72abc5c4a6f0d94cd0",
     ("alpha(7,0)",): "03296f30b758df5bab95f0d6ce35573decace1ece87f9d38e00e1ce2c99f92bf",
@@ -72,6 +75,12 @@ ANALYZE = {
     ("random(20,0.5,3)",): "cea64f4a41d82909a8fe6bf2cfaaf47ee7ade65aea86188ec4e39c3663480f1e",
     ("random(20,0.5,3)", "--mode", "structural"): (
         "4df7891f331445e4f635915d0df8b02d16c36adfff23b2b0eff83b0140fd1150"
+    ),
+    ("fig-no-critical-pair(6)", "--mode", "structural"): (
+        "e91f87f7cf33ff144986fe1469871aef0b85b7b084a56f00d41dcfe75460c6f1"
+    ),
+    ("random(6,0.5,12)", "--mode", "structural"): (
+        "2f90c05ec4c24d825b00a8b44f4f6420bdb7d36556e6d0357c4a7a31efc0ea49"
     ),
 }
 

@@ -5,6 +5,7 @@ before the masks: it reads pair colors straight from the colex bit
 string, so it shares nothing with ``Coloring.nbr`` or ``EdgeSet.adj``.
 """
 
+import ast
 import json
 import random
 import subprocess
@@ -442,6 +443,17 @@ def test_cli_import_leaves_networkx_out():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False\n"
+
+
+def test_no_module_reads_the_environment():
+    # no hidden knobs: what the package does depends on its arguments alone
+    knobs = {"environ", "environb", "getenv", "getenvb"}
+    for path in sorted(Path(homrec.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {getattr(node, "attr", None), getattr(node, "id", None)}
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            assert not knobs & names, f"{path.name}:{node.lineno} reads {knobs & names}"
 
 
 def test_theorem63_leaves_concurrent_futures_out(tmp_path):

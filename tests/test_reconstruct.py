@@ -37,6 +37,7 @@ from homrec.reconstruct import (
     Verdict,
     _reconstruction_masks,
     _search_space,
+    analyze,
     component_restriction_valid,
     enumerate_reconstructions,
     in_R,
@@ -184,12 +185,69 @@ def test_r_not_applicable_for_reconstructible():
 
 
 def test_r_structural_modes(partition6, no_critical_pair6):
+    """Structural mode answers r = 1 from the critical pairs, else from the
+    search where the pair classes fit; only past them from the critical
+    cycles (r = 4, incomplete), or unknown."""
     rep = r_value(partition6, SearchMode.STRUCTURAL_ONLY)
     assert rep.r == 1 and rep.complete and len(rep.witnesses) == 9
     rep = r_value(no_critical_pair6, SearchMode.STRUCTURAL_ONLY)
-    assert rep.r == 4 and not rep.complete
+    assert rep.r == 4 and rep.complete
+    assert rep.witnesses == r_value(no_critical_pair6).witnesses
     rep = r_value(Coloring.zero(6), SearchMode.STRUCTURAL_ONLY)
+    assert rep.r is None and rep.complete and rep.status == "not_applicable"
+    # 19 pair classes, one critical cycle and no critical pair
+    phi = Coloring(12, 0x3D2E359AE5EB2D69C)
+    assert len(_search_space(phi)[0]) == 19
+    rep = r_value(phi, SearchMode.STRUCTURAL_ONLY)
+    assert rep.r == 4 and not rep.complete and len(rep.witnesses) == 1
+    # 20 pair classes, no critical pair or cycle
+    rep = r_value(Coloring(12, 0x1572EAAB75DCAAD43), SearchMode.STRUCTURAL_ONLY)
     assert rep.r is None and not rep.complete and rep.status == "unknown"
+
+
+def test_structural_r_without_scan_witness_reads_the_search():
+    # no critical pair or cycle: the search finds r = 7
+    phi = Coloring(6, 0x195B)
+    facts, membership, report = analyze(phi, SearchMode.STRUCTURAL_ONLY)
+    assert not facts.pairs and not facts.cycles
+    assert membership.verdict is Verdict.NOT_IN_R
+    assert report.r == 7 and report.complete and len(report.witnesses) == 2
+    assert report == r_value(phi, SearchMode.STRUCTURAL_ONLY)
+
+
+@pytest.mark.parametrize(
+    "phis",
+    [
+        pytest.param(
+            [Coloring(n, b) for n in (3, 4, 5) for b in range(1 << pair_count(n))],
+            id="all-n3-5",
+        ),
+        *(
+            pytest.param(
+                [random_coloring(n, p, s) for p in (0.3, 0.5, 0.7) for s in range(150)],
+                id=f"n{n}",
+            )
+            for n in (6, 7, 8)
+        ),
+    ],
+)
+def test_structural_analyze_equals_auto_where_the_classes_fit(phis):
+    """The mode changes the cost, not the answer: where the pair classes
+    fit, structural analyze reports what auto (exhaustive) does, bar the
+    mode.  Every witness of a report without a critical pair, the ones
+    structural mode reads from the search, passes both validity routes."""
+    for phi in phis:
+        auto_facts, auto_membership, auto_report = analyze(phi)
+        assert auto_facts.mode is SearchMode.EXHAUSTIVE
+        facts, membership, report = analyze(phi, SearchMode.STRUCTURAL_ONLY)
+        label = (phi.n, hex(phi.bits))
+        assert facts.pairs == auto_facts.pairs and facts.cycles == auto_facts.cycles, label
+        assert membership == auto_membership, label
+        assert report.to_json() == {**auto_report.to_json(), "mode": "structural"}, label
+        if not facts.pairs:
+            for w in report.witnesses:
+                assert is_valid_difference(phi, w.difference), label
+                assert h_equivalent(phi, Coloring(phi.n, phi.bits ^ w.difference.mask)), label
 
 
 def test_r_exhaustive_refuses_large_n():

@@ -26,7 +26,7 @@ from .coloring import Coloring, EdgeSet, hom_sets, hom_triple_counts
 from .critical import witness_json
 from .errors import BudgetError, HomrecError
 from .fixtures import fixture_names, parse_fixture
-from .reconstruct import STRUCTURAL_MAX_N, SearchMode, analyze
+from .reconstruct import MAX_N, analyze
 from .structure import to_dot
 from .suites import SUITES, run_suite
 
@@ -57,7 +57,7 @@ def _load_coloring(path: str, member: str) -> Coloring:
         raise HomrecError(f"cannot read {path}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also an int over the digit limit
         raise HomrecError(f"{path} is not valid JSON: {exc}") from exc
     if isinstance(obj, dict) and {"phi", "psi"} <= set(obj):
         if member not in ("phi", "psi", "sum"):
@@ -68,8 +68,8 @@ def _load_coloring(path: str, member: str) -> Coloring:
     elif member != "phi":
         raise HomrecError(f"{path} holds one coloring; --member {member} needs a pair file")
     n = obj.get("n") if isinstance(obj, dict) else None
-    if isinstance(n, int) and n > STRUCTURAL_MAX_N:
-        raise BudgetError(f"{path}: coloring files take n <= {STRUCTURAL_MAX_N}, got n={n}")
+    if isinstance(n, int) and n > MAX_N:
+        raise BudgetError(f"{path}: coloring files take n <= {MAX_N}, got n={n}")
     try:
         return Coloring.from_json(obj)
     except (HomrecError, ValueError, TypeError, KeyError) as exc:
@@ -83,8 +83,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _analysis(phi: Coloring, mode: str) -> dict:
+    """The analysis report.  ``mode`` only labels the r report: structural
+    when asked for or when the search did not run, else exhaustive."""
     maximal = hom_sets(phi)  # first: it is the part that can exceed its bound
-    facts, membership, report = analyze(phi, None if mode == "auto" else SearchMode(mode))
+    facts, membership, report = analyze(phi)
+    label = "structural" if mode == "structural" or facts.masks is None else "exhaustive"
     return {
         "schema_version": SCHEMA_VERSION,
         "n": phi.n,
@@ -103,7 +106,7 @@ def _analysis(phi: Coloring, mode: str) -> dict:
                 else None
             ),
         },
-        "r_report": report.to_json(),
+        "r_report": {**report.to_json(), "mode": label},
     }
 
 
@@ -245,9 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         choices=("auto", "exhaustive", "structural"),
         default="auto",
-        help="r-value search mode (auto: exhaustive when the coloring's pair "
-        "classes fit the search, structural otherwise; exhaustive exits 2 when "
-        f"they do not fit); every mode takes n <= {STRUCTURAL_MAX_N}",
+        help="deprecated, kept for one release: it only names the r report's "
+        "mode (structural if given as structural or if the pair classes do not "
+        "fit the search, exhaustive otherwise) and never changes the analysis, "
+        f"which takes n <= {MAX_N}",
     )
     ana.add_argument("--member", default="phi", help="member of a pair file (phi/psi/sum)")
     ana.add_argument("--out", default=None)

@@ -100,9 +100,16 @@ def triples(n: int) -> tuple[tuple[int, int, int], ...]:
 
 @lru_cache(maxsize=None)
 def triple_pairs(n: int) -> tuple[tuple[int, int, int], ...]:
-    """Per triple of ``triples(n)``, its pair indices ({x,y}, {x,z}, {y,z})."""
+    """Per triple of ``triples(n)``, its pair indices ({x,y}, {x,z}, {y,z}).
+
+    Built without ``triples(n)`` and from one int object per pair index:
+    at n = 38 the table takes 0.6 MB, where fresh ints and the cached
+    triples took 1.65 MB."""
+    # index[y][x] is pair_index(x, y)
+    index = [list(range(y * (y - 1) // 2, y * (y + 1) // 2)) for y in range(n)]
     return tuple(
-        (pair_index(x, y), pair_index(x, z), pair_index(y, z)) for x, y, z in triples(n)
+        (index[y][x], index[z][x], index[z][y])
+        for z in range(n) for y in range(z) for x in range(y)
     )
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .coloring import Coloring, EdgeSet, boolean_sum, pairs_of
 from .errors import FixtureError
-from .reconstruct import STRUCTURAL_MAX_N
+from .reconstruct import MAX_N
 from .srcheck import alpha_coloring
 from .structure import make_cycle_pair, make_path_pair
 
@@ -201,8 +201,8 @@ def parse_fixture(text: str) -> Fixture:
 
     def size(value: int) -> int:
         # building a coloring sets bits on a growing int: superlinear in n
-        if value > STRUCTURAL_MAX_N:
-            raise FixtureError(f"{name} takes a size of at most {STRUCTURAL_MAX_N}, got {value}")
+        if value > MAX_N:
+            raise FixtureError(f"{name} takes a size of at most {MAX_N}, got {value}")
         return value
 
     def ints(count: int) -> list[int]:

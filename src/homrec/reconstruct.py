@@ -33,9 +33,10 @@ colex.
 Nothing here depends on n: the search runs at any n when phi has at most
 ``_MAX_CLASSES`` classes; above that only the structural scans apply.
 
-Membership takes the first witness among the critical pairs, the critical
-cycles and the search; r takes the search wherever it ran, else the scans.
-``analyze`` computes each of these facts once.
+There is one decision procedure.  Membership takes the first witness
+among the critical pairs, the critical cycles and the search; r takes
+the search wherever it ran, else the scans, and says ``complete: false``
+where they leave it open.  ``analyze`` computes each of these facts once.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ __all__ = [
     "RMembership",
     "RValueReport",
     "ReconstructionWitness",
-    "SearchMode",
     "Verdict",
     "analyze",
     "component_restriction_valid",
@@ -73,8 +73,9 @@ __all__ = [
     "r_value",
 ]
 
-# The structural ceiling: one O(n^5) critical-cycle scan takes seconds at n = 60.
-STRUCTURAL_MAX_N = 64
+# The largest n a coloring file or fixture may have.  It bounds building a
+# coloring and the O(n^5) critical-cycle scan, which takes seconds at n = 60.
+MAX_N = 64
 # The search's budget: 2^18 unions of at most 18 pair classes.  It is the
 # maximum over n <= 8, so every coloring there is searched.
 _MAX_CLASSES = 18
@@ -84,14 +85,6 @@ class Verdict(Enum):
     IN_R = "in_R"
     NOT_IN_R = "not_in_R"
     UNKNOWN = "unknown"
-
-
-class SearchMode(Enum):
-    """How much an analysis may spend.  Wherever the search can run, the
-    mode changes the cost, not the answer."""
-
-    EXHAUSTIVE = "exhaustive"
-    STRUCTURAL_ONLY = "structural"
 
 
 @dataclass(frozen=True)
@@ -114,14 +107,16 @@ class RMembership:
 class RValueReport:
     """Result of a minimal-reconstruction search.
 
-    ``r is None`` with ``complete`` means no non-trivial reconstruction
-    exists (r is not applicable); ``r is None`` without ``complete``
-    means the structural scan was inconclusive.
+    ``complete`` says whether r is established: by the search, or by a
+    critical pair (r = 1).  ``r is None`` with ``complete`` means no
+    non-trivial reconstruction exists (r is not applicable).  Past the
+    search's reach a critical cycle gives r = 4 without ``complete``, and
+    ``r is None`` without ``complete`` means the scans were inconclusive.
+    It names no mode: ``analyze --json`` adds its deprecated label.
     """
 
     r: Optional[int]
     witnesses: tuple[ReconstructionWitness, ...]
-    mode: SearchMode
     complete: bool
 
     @property
@@ -133,7 +128,6 @@ class RValueReport:
     def to_json(self) -> dict:
         return {
             "r": self.r,
-            "mode": self.mode.value,
             "complete": self.complete,
             "witnesses": [
                 [list(p) for p in w.difference.members()] for w in self.witnesses
@@ -273,26 +267,19 @@ class Facts(NamedTuple):
     pairs: list[tuple[int, int]]
     cycles: list[CriticalCycleWitness]
     masks: Optional[list[int]]  # None: the search did not run
-    mode: SearchMode
 
 
-def _facts(phi: Coloring, mode: Optional[SearchMode], whole: bool) -> Facts:
-    """Critical pairs, critical cycles (n >= 5) and, if the pair classes
-    fit, the search: always in exhaustive mode (no mode: exhaustive when
-    they fit), else only if no critical pair gives r = 1.  The cycle scan
-    runs in full when ``whole`` (for a report), else only without a pair."""
-    space = None if mode is SearchMode.STRUCTURAL_ONLY else _search_space(phi)
-    if mode is None:
-        fits = len(space[0]) <= _MAX_CLASSES
-        mode = SearchMode.EXHAUSTIVE if fits else SearchMode.STRUCTURAL_ONLY
-    masks = _reconstruction_masks(phi, space) if mode is SearchMode.EXHAUSTIVE else None
+def _facts(phi: Coloring, whole: bool) -> Facts:
+    """Critical pairs; then, unless one answers and no full report
+    (``whole``) is asked for, the search if the pair classes fit and the
+    critical cycles (n >= 5)."""
     pairs = find_critical_pairs(phi)
-    cycles = find_critical_cycles(phi) if phi.n >= 5 and (whole or not pairs) else []
-    if masks is None and not pairs:
-        space = space or _search_space(phi)
-        if len(space[0]) <= _MAX_CLASSES:
-            masks = _reconstruction_masks(phi, space)
-    return Facts(pairs, cycles, masks, mode)
+    if pairs and not whole:
+        return Facts(pairs, [], None)
+    space = _search_space(phi)
+    masks = _reconstruction_masks(phi, space) if len(space[0]) <= _MAX_CLASSES else None
+    cycles = find_critical_cycles(phi) if phi.n >= 5 else []
+    return Facts(pairs, cycles, masks)
 
 
 def _membership(phi: Coloring, facts: Facts) -> RMembership:
@@ -324,7 +311,7 @@ def _report(phi: Coloring, facts: Facts) -> RValueReport:
         diffs = [c.edges for c in facts.cycles]
     else:
         r, diffs, complete = None, [], False
-    return RValueReport(r, tuple(make_witness(phi, d) for d in diffs), facts.mode, complete)
+    return RValueReport(r, tuple(make_witness(phi, d) for d in diffs), complete)
 
 
 def in_R(phi: Coloring) -> RMembership:
@@ -336,42 +323,42 @@ def in_R(phi: Coloring) -> RMembership:
     """
     if phi.n < 3:
         raise TooSmallError(f"membership needs n >= 3, got {phi.n}")
-    return _membership(phi, _facts(phi, SearchMode.STRUCTURAL_ONLY, whole=False))
+    return _membership(phi, _facts(phi, whole=False))
 
 
-def r_value(phi: Coloring, mode: SearchMode = SearchMode.EXHAUSTIVE) -> RValueReport:
+def r_value(phi: Coloring) -> RValueReport:
     """The minimal-reconstruction number and all its minimal witnesses.
 
-    Exhaustive mode searches the whole difference space, complete, if the
-    pair classes fit (else ``BudgetError``).  Structural mode first scans
-    critical pairs (r = 1, complete: the size-1 space is covered) and
-    searches whenever none is found and the classes fit, so it answers
-    as exhaustive mode does.  Only past the search's reach does it report
-    critical cycles (r = 4, not complete below the regime where the
-    dichotomy theorems apply), or with none found unknown.
+    A critical pair gives r = 1, complete: the size-1 space is covered.
+    Without one, r is read from the search, complete, if the pair classes
+    fit.  Past the search's reach it never raises: critical cycles give
+    r = 4 with ``complete: false`` (the dichotomy theorems apply only at
+    large n), and with none found r is unknown, also ``complete: false``.
     """
     if phi.n < 3:
         raise TooSmallError(f"r-value needs n >= 3, got {phi.n}")
-    return _report(phi, _facts(phi, mode, whole=False))
+    return _report(phi, _facts(phi, whole=False))
 
 
-def analyze(
-    phi: Coloring, mode: Optional[SearchMode] = None
-) -> tuple[Facts, RMembership, RValueReport]:
+def analyze(phi: Coloring) -> tuple[Facts, RMembership, RValueReport]:
     """Every critical pair and cycle, membership and the r report of phi
-    from one pass: each scan and the search run at most once; no mode
-    means exhaustive exactly when the pair classes fit.  An IN_R verdict
-    comes only from the search, so r is then not applicable, complete."""
-    facts = _facts(phi, mode, whole=True)
+    from one pass: each scan and the search run at most once, the search
+    whenever the pair classes fit.  An IN_R verdict comes only from the
+    search, so r is then not applicable, complete."""
+    facts = _facts(phi, whole=True)
     return facts, _membership(phi, facts), _report(phi, facts)
 
 
 def minimal_reconstructions(phi: Coloring) -> list[ReconstructionWitness]:
-    """All witnesses of size r(phi), exhaustively established."""
-    report = r_value(phi, SearchMode.EXHAUSTIVE)
-    if report.r is None:
+    """All witnesses of size r(phi), from one search: ``BudgetError`` past
+    its reach, ``NotApplicableError`` if phi has only trivial ones."""
+    if phi.n < 3:
+        raise TooSmallError(f"r-value needs n >= 3, got {phi.n}")
+    masks = _reconstruction_masks(phi)
+    if not masks:
         raise NotApplicableError("coloring has only trivial reconstructions")
-    return list(report.witnesses)
+    r = masks[0].bit_count()
+    return [make_witness(phi, EdgeSet(phi.n, m)) for m in masks if m.bit_count() == r]
 
 
 def component_restriction_valid(phi: Coloring, diff: EdgeSet, comp: Component) -> bool:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import sys
 import time
 
@@ -9,10 +10,11 @@ import pytest
 
 from homrec import reconstruct
 from homrec.cli import _analysis, main
-from homrec.coloring import HOM_SETS_MAX, Coloring, EdgeSet, pair_count
+from homrec.coloring import HOM_SETS_MAX, Coloring, EdgeSet, h_equivalent, pair_count
 from homrec.critical import find_critical_cycles, find_critical_pairs, witness_json
 from homrec.fixtures import partition_coloring, random_coloring
-from homrec.reconstruct import SearchMode, in_R, is_valid_difference, r_value
+from homrec.reconstruct import in_R, is_valid_difference, r_value
+from homrec.srcheck import alpha_coloring
 
 
 def run(capsys, *argv):
@@ -206,6 +208,16 @@ def test_coloring_file_faults_exit_2(tmp_path, capsys):
             assert code == 2 and stdout == "" and message in err, (command, text)
 
 
+@pytest.mark.parametrize("command", ["analyze", "export-dot"])
+def test_coloring_file_with_an_int_over_the_digit_limit_exits_2(tmp_path, capsys, command):
+    # json.loads raises a plain ValueError on an int literal of more than
+    # 4300 digits, not a JSONDecodeError
+    src = tmp_path / "huge.json"
+    src.write_text('{"n": 1' + "0" * 5000 + ', "ones": []}')
+    code, stdout, err = run(capsys, command, str(src))
+    assert code == 2 and stdout == "" and str(src) in err
+
+
 def test_analyze_structural_in_R_report_agrees_with_membership(tmp_path, capsys):
     # no critical pair or cycle, so structural r alone would be unknown;
     # the search that settles membership also settles r
@@ -254,14 +266,99 @@ def test_analyze_rejects_n_above_the_mode_ceiling(tmp_path, capsys, fact_calls, 
     assert fact_calls == dict.fromkeys(_FACTS, 0)
 
 
-def test_analyze_exhaustive_rejects_more_classes_than_the_search_takes(
-    tmp_path, capsys, fact_calls
-):
+def test_analyze_exhaustive_past_the_class_ceiling_is_auto(tmp_path, capsys, fact_calls):
+    # 22 pair classes: --mode is only a label, so no mode runs the search
     src = tmp_path / "p9.json"
     run(capsys, "generate", "partition(9)", "--out", str(src))
-    code, stdout, err = run(capsys, "analyze", str(src), "--mode", "exhaustive")
-    assert code == 2 and stdout == "" and "22 pair classes" in err
-    assert fact_calls["find_critical_pairs"] == fact_calls["find_critical_cycles"] == 0
+    code, stdout, err = run(capsys, "analyze", str(src), "--json", "--mode", "exhaustive")
+    assert code == 0 and err == ""
+    assert (code, stdout, err) == run(capsys, "analyze", str(src), "--json")
+    assert json.loads(stdout)["r_report"]["mode"] == "structural"
+    assert fact_calls["_reconstruction_masks"] == 0
+
+
+def _mode_outputs(tmp_path, capsys, phi: Coloring) -> dict[str, str]:
+    src = tmp_path / "phi.json"
+    src.write_text(json.dumps(phi.to_json()))
+    outputs = {}
+    for mode in ("auto", "exhaustive", "structural"):
+        code, stdout, err = run(capsys, "analyze", str(src), "--json", "--mode", mode)
+        assert code == 0 and err == "", (mode, phi.n, hex(phi.bits))
+        outputs[mode] = stdout
+    return outputs
+
+
+@pytest.mark.parametrize(
+    "phis",
+    [
+        pytest.param(
+            [Coloring(n, b) for n in (3, 4) for b in range(1 << pair_count(n))], id="all-n3-4"
+        ),
+        *(
+            pytest.param(
+                [random_coloring(n, p, s) for p in (0.3, 0.5, 0.7) for s in range(20)],
+                id=f"n{n}",
+            )
+            for n in (5, 6, 7, 8)
+        ),
+        pytest.param(
+            [
+                alpha_coloring(17),  # 19 pair classes, a critical pair
+                partition_coloring(9),  # 22 pair classes, critical pairs
+                Coloring(12, 0x1572EAAB75DCAAD43),  # 20 pair classes, no witness
+                Coloring(12, 0x3D2E359AE5EB2D69C),  # 19 pair classes, a critical cycle
+            ],
+            id="past-the-class-ceiling",
+        ),
+    ],
+)
+def test_analyze_modes_differ_only_in_the_label(tmp_path, capsys, phis):
+    """One decision procedure: every --mode prints the same bytes but for
+    the r report's "mode", which reads structural under --mode structural
+    and, in auto and exhaustive alike, exhaustive exactly when the search
+    ran.  Every witness of the r report passes both validity routes."""
+    for phi in phis:
+        label = (phi.n, hex(phi.bits))
+        outputs = _mode_outputs(tmp_path, capsys, phi)
+        stripped, modes = set(), {}
+        for mode, stdout in outputs.items():
+            rest, count = re.subn(r'\n    "mode": "(\w+)",', "", stdout)
+            assert count == 1, label
+            stripped.add(rest)
+            modes[mode] = json.loads(stdout)["r_report"]["mode"]
+        assert len(stripped) == 1, label
+        searched = len(reconstruct._search_space(phi)[0]) <= reconstruct._MAX_CLASSES
+        expected = "exhaustive" if searched else "structural"
+        assert modes == {"auto": expected, "exhaustive": expected, "structural": "structural"}
+        for pairs in json.loads(outputs["auto"])["r_report"]["witnesses"]:
+            diff = EdgeSet.from_pairs(phi.n, pairs)
+            assert is_valid_difference(phi, diff), label
+            assert h_equivalent(phi, Coloring(phi.n, phi.bits ^ diff.mask)), label
+
+
+@pytest.mark.parametrize(
+    "fixture, flags, mode",
+    [
+        ("partition(7)", (), "exhaustive"),
+        ("alpha(7,0)", (), "exhaustive"),
+        ("alpha(7,1)", (), "exhaustive"),
+        ("fig-no-critical-pair(6)", (), "exhaustive"),
+        ("random(7,0.3,5)", (), "exhaustive"),
+        ("random(12,0.5,3)", ("--mode", "structural"), "structural"),
+        ("alpha(17)", ("--mode", "structural"), "structural"),
+        ("partition(12)", ("--mode", "structural"), "structural"),
+    ],
+)
+def test_analyze_mode_label_contract(tmp_path, capsys, fixture, flags, mode):
+    """The labels the benchmark's output checks require: auto at n <= 8
+    reads exhaustive and complete, --mode structural reads structural."""
+    src = tmp_path / "phi.json"
+    run(capsys, "generate", fixture, "--out", str(src))
+    code, stdout, _ = run(capsys, "analyze", str(src), "--json", *flags)
+    report = json.loads(stdout)["r_report"]
+    assert code == 0 and report["mode"] == mode
+    if mode == "exhaustive":
+        assert report["complete"] is True
 
 
 @pytest.mark.parametrize(
@@ -285,7 +382,7 @@ def test_analyze_computes_each_fact_once(tmp_path, capsys, fact_calls, fixture, 
 def _expected_analysis(actual: dict, phi: Coloring, mode: str) -> dict:
     cycles = find_critical_cycles(phi) if phi.n >= 5 else []
     membership = in_R(phi)
-    report = r_value(phi, SearchMode(mode))
+    report = r_value(phi)
     witness = membership.witness
     return {
         **actual,
@@ -295,7 +392,7 @@ def _expected_analysis(actual: dict, phi: Coloring, mode: str) -> dict:
             "verdict": membership.verdict.value,
             "witness": witness and [list(p) for p in witness.difference.members()],
         },
-        "r_report": report.to_json(),
+        "r_report": {**report.to_json(), "mode": mode},  # every class fits at n <= 8
     }
 
 

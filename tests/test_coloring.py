@@ -17,6 +17,8 @@ from homrec.coloring import (
     pair_count,
     pair_index,
     restrict,
+    triple_pairs,
+    triples,
 )
 from homrec.errors import (
     DimensionMismatchError,
@@ -45,6 +47,13 @@ def test_pair_index_known_values():
 def test_pair_index_bijective_for_n6():
     idx = [pair_index(x, y, 6) for y in range(6) for x in range(y)]
     assert idx == list(range(15))
+
+
+def test_triple_pairs_index_the_pairs_of_each_triple():
+    for n in range(41):
+        assert triple_pairs(n) == tuple(
+            (pair_index(x, y), pair_index(x, z), pair_index(y, z)) for x, y, z in triples(n)
+        ), n
 
 
 def test_pair_index_rejects_bad_pairs():

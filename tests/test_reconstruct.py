@@ -33,7 +33,6 @@ from homrec.fixtures import (
 )
 from homrec.reconstruct import (
     RMembership,
-    SearchMode,
     Verdict,
     _reconstruction_masks,
     _search_space,
@@ -185,87 +184,61 @@ def test_r_not_applicable_for_reconstructible():
 
 
 def test_r_structural_modes(partition6, no_critical_pair6):
-    """Structural mode answers r = 1 from the critical pairs, else from the
-    search where the pair classes fit; only past them from the critical
-    cycles (r = 4, incomplete), or unknown."""
-    rep = r_value(partition6, SearchMode.STRUCTURAL_ONLY)
+    """r = 1 from the critical pairs, else from the search where the pair
+    classes fit; only past them from the critical cycles (r = 4,
+    incomplete), or unknown.  r_value never raises past the search."""
+    rep = r_value(partition6)
     assert rep.r == 1 and rep.complete and len(rep.witnesses) == 9
-    rep = r_value(no_critical_pair6, SearchMode.STRUCTURAL_ONLY)
+    rep = r_value(no_critical_pair6)
     assert rep.r == 4 and rep.complete
-    assert rep.witnesses == r_value(no_critical_pair6).witnesses
-    rep = r_value(Coloring.zero(6), SearchMode.STRUCTURAL_ONLY)
+    assert list(rep.witnesses) == minimal_reconstructions(no_critical_pair6)
+    rep = r_value(Coloring.zero(6))
     assert rep.r is None and rep.complete and rep.status == "not_applicable"
     # 19 pair classes, one critical cycle and no critical pair
     phi = Coloring(12, 0x3D2E359AE5EB2D69C)
     assert len(_search_space(phi)[0]) == 19
-    rep = r_value(phi, SearchMode.STRUCTURAL_ONLY)
+    rep = r_value(phi)
     assert rep.r == 4 and not rep.complete and len(rep.witnesses) == 1
     # 20 pair classes, no critical pair or cycle
-    rep = r_value(Coloring(12, 0x1572EAAB75DCAAD43), SearchMode.STRUCTURAL_ONLY)
+    rep = r_value(Coloring(12, 0x1572EAAB75DCAAD43))
     assert rep.r is None and not rep.complete and rep.status == "unknown"
 
 
 def test_structural_r_without_scan_witness_reads_the_search():
     # no critical pair or cycle: the search finds r = 7
     phi = Coloring(6, 0x195B)
-    facts, membership, report = analyze(phi, SearchMode.STRUCTURAL_ONLY)
+    facts, membership, report = analyze(phi)
     assert not facts.pairs and not facts.cycles
     assert membership.verdict is Verdict.NOT_IN_R
     assert report.r == 7 and report.complete and len(report.witnesses) == 2
-    assert report == r_value(phi, SearchMode.STRUCTURAL_ONLY)
-
-
-@pytest.mark.parametrize(
-    "phis",
-    [
-        pytest.param(
-            [Coloring(n, b) for n in (3, 4, 5) for b in range(1 << pair_count(n))],
-            id="all-n3-5",
-        ),
-        *(
-            pytest.param(
-                [random_coloring(n, p, s) for p in (0.3, 0.5, 0.7) for s in range(150)],
-                id=f"n{n}",
-            )
-            for n in (6, 7, 8)
-        ),
-    ],
-)
-def test_structural_analyze_equals_auto_where_the_classes_fit(phis):
-    """The mode changes the cost, not the answer: where the pair classes
-    fit, structural analyze reports what auto (exhaustive) does, bar the
-    mode.  Every witness of a report without a critical pair, the ones
-    structural mode reads from the search, passes both validity routes."""
-    for phi in phis:
-        auto_facts, auto_membership, auto_report = analyze(phi)
-        assert auto_facts.mode is SearchMode.EXHAUSTIVE
-        facts, membership, report = analyze(phi, SearchMode.STRUCTURAL_ONLY)
-        label = (phi.n, hex(phi.bits))
-        assert facts.pairs == auto_facts.pairs and facts.cycles == auto_facts.cycles, label
-        assert membership == auto_membership, label
-        assert report.to_json() == {**auto_report.to_json(), "mode": "structural"}, label
-        if not facts.pairs:
-            for w in report.witnesses:
-                assert is_valid_difference(phi, w.difference), label
-                assert h_equivalent(phi, Coloring(phi.n, phi.bits ^ w.difference.mask)), label
+    assert report == r_value(phi)
 
 
 def test_r_exhaustive_refuses_large_n():
+    """Past the search's reach only the exhaustive listings refuse; r_value
+    reads r = 1 from the critical pairs."""
     phi = partition_coloring(9)  # 22 pair classes
     with pytest.raises(BudgetError, match="22 pair classes at n=9, more than 18"):
-        r_value(phi)
+        minimal_reconstructions(phi)
     with pytest.raises(BudgetError, match="22 pair classes"):
         list(enumerate_reconstructions(phi, max_size=1))
+    report = r_value(phi)
+    assert report.r == 1 and report.complete
+    assert [w.difference.members() for w in report.witnesses] == [
+        [p] for p in find_critical_pairs(phi)
+    ]
     # one pair class: the search runs above n = 8
     report = r_value(Coloring.zero(9))
     assert report.r is None and report.complete
     assert in_R(Coloring.zero(9)) == RMembership(Verdict.IN_R, None)
+    with pytest.raises(NotApplicableError):
+        minimal_reconstructions(Coloring.zero(9))
 
 
 def test_r_report_json(partition6):
     payload = r_value(partition6).to_json()
     assert payload["r"] == 1 and payload["complete"] is True
-    assert payload["mode"] == "exhaustive"
+    assert "mode" not in payload  # the CLI labels its reports, not r_value
     assert [[0, 1]] in payload["witnesses"]
 
 

@@ -101,9 +101,7 @@ def _analysis(phi: Coloring, mode: str) -> dict:
         "membership": {
             "verdict": membership.verdict.value,
             "witness": (
-                [list(p) for p in membership.witness.difference.members()]
-                if membership.witness
-                else None
+                [list(p) for p in membership.witness.members()] if membership.witness else None
             ),
         },
         "r_report": {**report.to_json(), "mode": label},

@@ -90,7 +90,7 @@ def pairs_of(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((x, y) for y in range(n) for x in range(y))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def triples(n: int) -> tuple[tuple[int, int, int], ...]:
     """All triples x < y < z on n vertices in colex order."""
     return tuple(
@@ -98,13 +98,14 @@ def triples(n: int) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def triple_pairs(n: int) -> tuple[tuple[int, int, int], ...]:
     """Per triple of ``triples(n)``, its pair indices ({x,y}, {x,z}, {y,z}).
 
     Built without ``triples(n)`` and from one int object per pair index:
     at n = 38 the table takes 0.6 MB, where fresh ints and the cached
-    triples took 1.65 MB."""
+    triples took 1.65 MB.  Only the last n's table is kept, so a sweep
+    over n holds one; rebuilding one at n <= 9 takes microseconds."""
     # index[y][x] is pair_index(x, y)
     index = [list(range(y * (y - 1) // 2, y * (y + 1) // 2)) for y in range(n)]
     return tuple(

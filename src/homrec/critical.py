@@ -126,25 +126,21 @@ def _orientation_for(phi: Coloring, a: int, b: int, c: int, d: int) -> Optional[
     return None
 
 
-def is_critical_cycle(
-    phi: Coloring, quad: Sequence[int], allow_vacuous: bool = False
-) -> Optional[CriticalCycleWitness]:
+def is_critical_cycle(phi: Coloring, quad: Sequence[int]) -> Optional[CriticalCycleWitness]:
     """Test the cyclic arrangement (a, b, c, d) for a critical cycle.
 
     Both orientations are tried; the external condition quantifies over
     vertices outside the quad.  At n = 4 that condition is vacuous and
-    the quad coincides with flipping 4 of the 6 pairs, so n = 4 is
-    refused unless ``allow_vacuous`` is set.
+    the quad coincides with flipping 4 of the 6 pairs, so n < 5 is
+    refused.
     """
     quad = tuple(quad)
     if len(set(quad)) != 4:
         raise InvalidSubsetError(f"quad {quad} has repeated vertices")
     if any(not 0 <= v < phi.n for v in quad):
         raise InvalidSubsetError(f"quad {quad} out of range for n={phi.n}")
-    if phi.n < 5 and not allow_vacuous:
-        raise TooSmallError(
-            "critical cycles need n >= 5 (pass allow_vacuous=True to test n=4)"
-        )
+    if phi.n < 5:
+        raise TooSmallError(f"critical cycles need n >= 5, got {phi.n}")
     a, b, c, d = quad
     orientation = _orientation_for(phi, a, b, c, d)
     if orientation is None:

@@ -33,10 +33,12 @@ colex.
 Nothing here depends on n: the search runs at any n when phi has at most
 ``_MAX_CLASSES`` classes; above that only the structural scans apply.
 
-There is one decision procedure.  Membership takes the first witness
-among the critical pairs, the critical cycles and the search; r takes
-the search wherever it ran, else the scans, and says ``complete: false``
-where they leave it open.  ``analyze`` computes each of these facts once.
+There is one decision procedure.  r takes the search wherever it ran,
+else the scans, and says ``complete: false`` where they leave it open.
+Membership is read off that report: phi is not in R exactly when r is
+known, with its first minimal witness, and in R when r is not
+applicable.  The critical-cycle scan runs only past the search, unless a
+full report asks for it; ``analyze`` computes each fact once.
 """
 
 from __future__ import annotations
@@ -61,14 +63,12 @@ __all__ = [
     "Facts",
     "RMembership",
     "RValueReport",
-    "ReconstructionWitness",
     "Verdict",
     "analyze",
     "component_restriction_valid",
     "enumerate_reconstructions",
     "in_R",
     "is_valid_difference",
-    "make_witness",
     "minimal_reconstructions",
     "r_value",
 ]
@@ -88,19 +88,12 @@ class Verdict(Enum):
 
 
 @dataclass(frozen=True)
-class ReconstructionWitness:
-    difference: EdgeSet
-    components: tuple[Component, ...]
-    trivial: bool
-
-    def size(self) -> int:
-        return len(self.difference)
-
-
-@dataclass(frozen=True)
 class RMembership:
+    """Membership in R as read off the r report: NOT_IN_R with the first
+    minimal witness when r is known, IN_R when r is not applicable."""
+
     verdict: Verdict
-    witness: Optional[ReconstructionWitness]
+    witness: Optional[EdgeSet]
 
 
 @dataclass(frozen=True)
@@ -116,7 +109,7 @@ class RValueReport:
     """
 
     r: Optional[int]
-    witnesses: tuple[ReconstructionWitness, ...]
+    witnesses: tuple[EdgeSet, ...]
     complete: bool
 
     @property
@@ -129,19 +122,8 @@ class RValueReport:
         return {
             "r": self.r,
             "complete": self.complete,
-            "witnesses": [
-                [list(p) for p in w.difference.members()] for w in self.witnesses
-            ],
+            "witnesses": [[list(p) for p in w.members()] for w in self.witnesses],
         }
-
-
-def make_witness(phi: Coloring, diff: EdgeSet) -> ReconstructionWitness:
-    full = (1 << pair_count(phi.n)) - 1
-    return ReconstructionWitness(
-        difference=diff,
-        components=tuple(components(diff)),
-        trivial=diff.mask in (0, full),
-    )
 
 
 def is_valid_difference(phi: Coloring, diff: EdgeSet) -> bool:
@@ -251,14 +233,14 @@ def _reconstruction_masks(phi: Coloring, space: Optional[tuple] = None) -> list[
 
 def enumerate_reconstructions(
     phi: Coloring, max_size: int | None = None
-) -> Iterator[ReconstructionWitness]:
+) -> Iterator[EdgeSet]:
     """Yield every non-trivial valid difference in size-then-colex order."""
     if phi.n < 3:
         raise TooSmallError(f"enumeration needs n >= 3, got {phi.n}")
     for mask in _reconstruction_masks(phi):
         if max_size is not None and mask.bit_count() > max_size:
             break  # sorted by size: nothing smaller follows
-        yield make_witness(phi, EdgeSet(phi.n, mask))
+        yield EdgeSet(phi.n, mask)
 
 
 class Facts(NamedTuple):
@@ -271,29 +253,24 @@ class Facts(NamedTuple):
 
 def _facts(phi: Coloring, whole: bool) -> Facts:
     """Critical pairs; then, unless one answers and no full report
-    (``whole``) is asked for, the search if the pair classes fit and the
-    critical cycles (n >= 5)."""
+    (``whole``) is asked for, the search if the pair classes fit, and the
+    critical cycles (n >= 5) if the report is whole or the search did not
+    run: otherwise nothing reads them."""
     pairs = find_critical_pairs(phi)
     if pairs and not whole:
         return Facts(pairs, [], None)
     space = _search_space(phi)
     masks = _reconstruction_masks(phi, space) if len(space[0]) <= _MAX_CLASSES else None
-    cycles = find_critical_cycles(phi) if phi.n >= 5 else []
-    return Facts(pairs, cycles, masks)
+    scan = phi.n >= 5 and (whole or masks is None)
+    return Facts(pairs, find_critical_cycles(phi) if scan else [], masks)
 
 
-def _membership(phi: Coloring, facts: Facts) -> RMembership:
-    """The first witness among critical pairs, critical cycles and the
-    search; IN_R when the search found none, UNKNOWN when it did not run."""
-    if facts.pairs:
-        diff = EdgeSet.from_pairs(phi.n, facts.pairs[:1])
-    elif facts.cycles:
-        diff = facts.cycles[0].edges
-    elif facts.masks:
-        diff = EdgeSet(phi.n, facts.masks[0])
-    else:
-        return RMembership(Verdict.UNKNOWN if facts.masks is None else Verdict.IN_R, None)
-    return RMembership(Verdict.NOT_IN_R, make_witness(phi, diff))
+def _membership(report: RValueReport) -> RMembership:
+    """NOT_IN_R with the first minimal witness when r is known, IN_R when
+    it is not applicable, else UNKNOWN."""
+    if report.r is not None:
+        return RMembership(Verdict.NOT_IN_R, report.witnesses[0])
+    return RMembership(Verdict.IN_R if report.complete else Verdict.UNKNOWN, None)
 
 
 def _report(phi: Coloring, facts: Facts) -> RValueReport:
@@ -311,19 +288,21 @@ def _report(phi: Coloring, facts: Facts) -> RValueReport:
         diffs = [c.edges for c in facts.cycles]
     else:
         r, diffs, complete = None, [], False
-    return RValueReport(r, tuple(make_witness(phi, d) for d in diffs), complete)
+    return RValueReport(r, tuple(diffs), complete)
 
 
 def in_R(phi: Coloring) -> RMembership:
     """Decide whether the only reconstructions of phi are the trivial ones.
 
-    Critical pairs are scanned first, and without one critical cycles
-    (sound shortcuts to NOT_IN_R) and the search if phi's pair classes
-    fit it; the verdict is UNKNOWN when neither scan nor search decides.
+    Read off ``r_value``'s report: NOT_IN_R with its first minimal
+    witness when r is known, IN_R when r is not applicable, UNKNOWN when
+    it is open.  A critical pair decides first; without one the search
+    decides if phi's pair classes fit it, and only past it are critical
+    cycles scanned (a sound shortcut to NOT_IN_R).
     """
     if phi.n < 3:
         raise TooSmallError(f"membership needs n >= 3, got {phi.n}")
-    return _membership(phi, _facts(phi, whole=False))
+    return _membership(_report(phi, _facts(phi, whole=False)))
 
 
 def r_value(phi: Coloring) -> RValueReport:
@@ -343,13 +322,13 @@ def r_value(phi: Coloring) -> RValueReport:
 def analyze(phi: Coloring) -> tuple[Facts, RMembership, RValueReport]:
     """Every critical pair and cycle, membership and the r report of phi
     from one pass: each scan and the search run at most once, the search
-    whenever the pair classes fit.  An IN_R verdict comes only from the
-    search, so r is then not applicable, complete."""
+    whenever the pair classes fit.  Membership is read off the r report."""
     facts = _facts(phi, whole=True)
-    return facts, _membership(phi, facts), _report(phi, facts)
+    report = _report(phi, facts)
+    return facts, _membership(report), report
 
 
-def minimal_reconstructions(phi: Coloring) -> list[ReconstructionWitness]:
+def minimal_reconstructions(phi: Coloring) -> list[EdgeSet]:
     """All witnesses of size r(phi), from one search: ``BudgetError`` past
     its reach, ``NotApplicableError`` if phi has only trivial ones."""
     if phi.n < 3:
@@ -358,7 +337,7 @@ def minimal_reconstructions(phi: Coloring) -> list[ReconstructionWitness]:
     if not masks:
         raise NotApplicableError("coloring has only trivial reconstructions")
     r = masks[0].bit_count()
-    return [make_witness(phi, EdgeSet(phi.n, m)) for m in masks if m.bit_count() == r]
+    return [EdgeSet(phi.n, m) for m in masks if m.bit_count() == r]
 
 
 def component_restriction_valid(phi: Coloring, diff: EdgeSet, comp: Component) -> bool:

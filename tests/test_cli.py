@@ -390,7 +390,7 @@ def _expected_analysis(actual: dict, phi: Coloring, mode: str) -> dict:
         "critical_cycles": [witness_json(w) for w in cycles],
         "membership": {
             "verdict": membership.verdict.value,
-            "witness": witness and [list(p) for p in witness.difference.members()],
+            "witness": witness and [list(p) for p in witness.members()],
         },
         "r_report": {**report.to_json(), "mode": mode},  # every class fits at n <= 8
     }

@@ -56,6 +56,14 @@ def test_triple_pairs_index_the_pairs_of_each_triple():
         ), n
 
 
+def test_triple_tables_keep_only_the_last_n():
+    for table in (triple_pairs, triples):
+        table(30)
+        table(38)
+        assert table.cache_info().currsize == 1
+        assert len(table(38)) == 38 * 37 * 36 // 6
+
+
 def test_pair_index_rejects_bad_pairs():
     with pytest.raises(InvalidPairError):
         pair_index(2, 2)

@@ -148,8 +148,6 @@ def test_is_critical_cycle_validation():
         is_critical_cycle(Coloring.zero(6), (0, 1, 2, 2))
     with pytest.raises(TooSmallError):
         is_critical_cycle(Coloring.zero(4), (0, 1, 2, 3))
-    # vacuous external condition must be requested explicitly
-    assert is_critical_cycle(Coloring.zero(4), (0, 1, 2, 3), allow_vacuous=True) is None
 
 
 def test_two_cycles_figure(two_cycles):

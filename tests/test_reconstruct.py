@@ -108,18 +108,18 @@ def test_enumerate_all_zero_is_empty():
 def test_enumerate_partition_size1(partition6):
     found = list(enumerate_reconstructions(partition6, max_size=1))
     assert len(found) == 9
-    assert all(w.size() == 1 and not w.trivial for w in found)
+    assert all(len(w) == 1 for w in found)
 
 
 def test_enumerate_ncp_figure_size4(no_critical_pair6):
     found = list(enumerate_reconstructions(no_critical_pair6, max_size=4))
-    assert all(w.size() == 4 for w in found)  # nothing smaller exists
-    cycles = {frozenset(w.difference.members()) for w in found}
+    assert all(len(w) == 4 for w in found)  # nothing smaller exists
+    cycles = {frozenset(w.members()) for w in found}
     assert frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}) in cycles
 
 
 def test_enumeration_order_is_size_then_colex(partition6):
-    masks = [w.difference.mask for w in enumerate_reconstructions(partition6, max_size=5)]
+    masks = [w.mask for w in enumerate_reconstructions(partition6, max_size=5)]
     keyed = [(m.bit_count(), m) for m in masks]
     assert keyed == sorted(keyed)
 
@@ -137,13 +137,13 @@ def test_alpha_truncations_are_not_reconstructible():
     for n in range(5, 13):
         member = in_R(alpha_coloring(n))
         assert member.verdict is Verdict.NOT_IN_R
-        assert not member.witness.trivial
+        assert 0 < len(member.witness) < pair_count(n)
 
 
 def test_homsum_not_in_R_with_small_witness(homsum_pair):
     member = in_R(homsum_pair[0])
     assert member.verdict is Verdict.NOT_IN_R
-    assert member.witness.size() <= 5
+    assert len(member.witness) <= 5
 
 
 def test_in_R_large_n_without_structure_is_unknown():
@@ -152,6 +152,43 @@ def test_in_R_large_n_without_structure_is_unknown():
     assert len(_search_space(phi)[0]) == 20
     assert not find_critical_pairs(phi) and not find_critical_cycles(phi)
     assert in_R(phi) == RMembership(Verdict.UNKNOWN, None)
+
+
+def test_membership_witness_is_the_first_minimal_witness():
+    # fig-two-cycles relabelled by 0,1,2,7,3,4,5,6: no critical pair, and
+    # the first critical cycle scanned is not the colex-first witness
+    phi = Coloring(8, 0x5D2AB51)
+    facts, membership, report = analyze(phi)
+    assert not facts.pairs and facts.cycles[0].quad == (0, 1, 2, 7)
+    assert membership == RMembership(Verdict.NOT_IN_R, report.witnesses[0])
+    assert report.witnesses[0].members() == [(3, 4), (4, 5), (3, 6), (5, 6)]
+    assert in_R(phi) == membership
+
+
+@pytest.mark.parametrize(
+    "phi, scans",
+    [
+        (random_coloring(30, 0.5, 11), 0),  # the search decides
+        (partition_coloring(12), 0),  # a critical pair decides
+        (Coloring(12, 0x3D2E359AE5EB2D69C), 1),  # 19 classes, one cycle: r = 4
+        (Coloring(12, 0x1572EAAB75DCAAD43), 1),  # 20 classes, no cycle: unknown
+    ],
+)
+def test_cycles_are_scanned_only_past_the_search(monkeypatch, phi, scans):
+    calls = []
+
+    def counted(phi):
+        calls.append(phi)
+        return find_critical_cycles(phi)
+
+    monkeypatch.setattr(reconstruct, "find_critical_cycles", counted)
+    for decide in (in_R, r_value):
+        calls.clear()
+        decide(phi)
+        assert len(calls) == scans, decide.__name__
+    calls.clear()
+    analyze(phi)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +204,7 @@ def test_r_partition(partition6):
 def test_r_ncp_figure(no_critical_pair6):
     report = r_value(no_critical_pair6)
     assert report.r == 4
-    assert [w.difference.members() for w in report.witnesses] == [
+    assert [w.members() for w in report.witnesses] == [
         [(0, 1), (1, 2), (0, 3), (2, 3)]
     ]
 
@@ -175,7 +212,7 @@ def test_r_ncp_figure(no_critical_pair6):
 def test_r_critical_cycle_figure(critical_cycle_coloring):
     report = r_value(critical_cycle_coloring)
     assert report.r == 1
-    assert [w.difference.members() for w in report.witnesses] == [[(4, 5)]]
+    assert [w.members() for w in report.witnesses] == [[(4, 5)]]
 
 
 def test_r_not_applicable_for_reconstructible():
@@ -224,7 +261,7 @@ def test_r_exhaustive_refuses_large_n():
         list(enumerate_reconstructions(phi, max_size=1))
     report = r_value(phi)
     assert report.r == 1 and report.complete
-    assert [w.difference.members() for w in report.witnesses] == [
+    assert [w.members() for w in report.witnesses] == [
         [p] for p in find_critical_pairs(phi)
     ]
     # one pair class: the search runs above n = 8
@@ -243,7 +280,7 @@ def test_r_report_json(partition6):
 
 
 def test_minimal_reconstructions(partition6, critical_cycle_coloring):
-    assert [w.difference.members() for w in minimal_reconstructions(partition6)] == [
+    assert [w.members() for w in minimal_reconstructions(partition6)] == [
         [(x, y)] for (x, y) in
         [(0, 1), (1, 2), (0, 3), (2, 3), (1, 4), (3, 4), (0, 5), (2, 5), (4, 5)]
     ]
@@ -279,8 +316,8 @@ def test_component_restriction_validations(partition6):
 @settings(max_examples=30)
 def test_every_component_restriction_of_valid_difference_is_valid(phi):
     for w in enumerate_reconstructions(phi, max_size=6):
-        for comp in w.components:
-            assert component_restriction_valid(phi, w.difference, comp)
+        for comp in components(w):
+            assert component_restriction_valid(phi, w, comp)
 
 
 @given(colorings(6))
@@ -289,7 +326,7 @@ def test_minimal_witnesses_are_connected(phi):
     member = in_R(phi)
     if member.verdict is Verdict.NOT_IN_R:
         for w in minimal_reconstructions(phi):
-            assert len(w.components) == 1
+            assert len(components(w)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -316,23 +353,13 @@ def _check_against_sweep(phi: Coloring) -> None:
 
     report = r_value(phi)
     assert report.r == r and report.complete
-    assert [w.difference.mask for w in report.witnesses] == [
-        m for m in swept if m.bit_count() == r
-    ]
-    assert [w.difference.mask for w in enumerate_reconstructions(phi)] == swept
+    assert [w.mask for w in report.witnesses] == [m for m in swept if m.bit_count() == r]
+    assert [w.mask for w in enumerate_reconstructions(phi)] == swept
 
-    pairs = find_critical_pairs(phi)
-    cycles = find_critical_cycles(phi) if phi.n >= 5 else []
-    if pairs:
-        expected = (Verdict.NOT_IN_R, EdgeSet.from_pairs(phi.n, [pairs[0]]).mask)
-    elif cycles:
-        expected = (Verdict.NOT_IN_R, cycles[0].edges.mask)
-    elif swept:
-        expected = (Verdict.NOT_IN_R, swept[0])
-    else:
-        expected = (Verdict.IN_R, None)
+    # membership is read off the report: its witness is the first minimal one
+    expected = (Verdict.NOT_IN_R, swept[0]) if swept else (Verdict.IN_R, None)
     member = in_R(phi)
-    assert (member.verdict, member.witness and member.witness.difference.mask) == expected
+    assert (member.verdict, member.witness and member.witness.mask) == expected
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -363,9 +390,9 @@ def test_search_at_n8(phi):
     assert report.complete
     assert (member.verdict is Verdict.IN_R) == (report.r is None)
     for w in report.witnesses:
-        assert w.size() == report.r and not w.trivial
-        assert is_valid_difference(phi, w.difference)
-        assert h_equivalent(phi, Coloring(8, phi.bits ^ w.difference.mask))
+        assert 0 < len(w) == report.r < 28
+        assert is_valid_difference(phi, w)
+        assert h_equivalent(phi, Coloring(8, phi.bits ^ w.mask))
     # brute force: nothing valid below r, exactly the witnesses at r (and
     # nothing up to size 3 when r does not exist)
     top = 3 if report.r is None else report.r
@@ -374,7 +401,7 @@ def test_search_at_n8(phi):
         if size < top or report.r is None:
             assert hits == []
         else:
-            assert hits == [w.difference.mask for w in report.witnesses]
+            assert hits == [w.mask for w in report.witnesses]
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # Per suite: suite keyword -> (command-line flag, allowed (lo, hi) or None).
 # The oracle's exhaustive --n crosses every coloring with every flip set,
 # 2^(2P) pairs, so --n stops at 6 vertices.  There, at default scale
-# otherwise, oracle takes 6.9-8.1 s, parity 4.5-4.6 s, connectivity
+# otherwise, oracle takes 6.9-8.1 s, parity 1.8-2.1 s, connectivity
 # 3.1-3.3 s, r-sweep 1.4-1.5 s and claws 0.9-1.1 s, and alpha at --nmax 40
 # takes 1.1-2.2 s, at 17-26 MB (whole process, one to five runs each,
 # 2-vCPU VM, Python 3.11).  The other ceilings keep a run in minutes.

@@ -173,19 +173,49 @@ class Fixture:
         }
 
 
+def _size(name: str, value: int) -> int:
+    # building a coloring sets bits on a growing int: superlinear in n
+    if value > MAX_N:
+        raise FixtureError(f"{name} takes a size of at most {MAX_N}, got {value}")
+    return value
+
+
+def _ints(name: str, counts: tuple[int, ...], args: list[str]) -> list[int]:
+    """Integer arguments, as many as one of ``counts``; the first is a size."""
+    if len(args) not in counts:
+        raise FixtureError(f"{name} expects {counts[-1]} argument(s), got {len(args)}")
+    try:
+        values = [int(a) for a in args]
+    except ValueError as exc:
+        raise FixtureError(f"non-integer argument for {name}: {args}") from exc
+    return [_size(name, values[0]), *values[1:]] if values else values
+
+
+def _random_args(name: str, counts: tuple[int, ...], args: list[str]) -> tuple:
+    if len(args) not in counts:
+        raise FixtureError("random expects (n, density, seed)")
+    return _size(name, int(args[0])), float(args[1]), int(args[2])
+
+
+# Per fixture id: its argument forms, the argument counts it accepts (the
+# last is the full form), the parser of its arguments and its builder,
+# which returns phi or (phi, psi).
+_FIXTURES = {
+    "partition": ("partition(n)", (1,), _ints, partition_coloring),
+    "fig-critical-pair": ("fig-critical-pair", (0,), _ints, fig_critical_pair),
+    "fig-critical-cycle": ("fig-critical-cycle", (0,), _ints, fig_critical_cycle_pair),
+    "fig-no-critical-pair": ("fig-no-critical-pair[(n)]", (0, 1), _ints, fig_no_critical_pair),
+    "fig-homsum": ("fig-homsum", (0,), _ints, fig_homsum_pair),
+    "fig-two-cycles": ("fig-two-cycles", (0,), _ints, fig_two_cycles),
+    "alpha": ("alpha(n[,seed])", (1, 2), _ints, alpha_coloring),
+    "path-pair": ("path-pair(m,c,phase)", (3,), _ints, make_path_pair),
+    "cycle-pair": ("cycle-pair(m,c,phase)", (3,), _ints, make_cycle_pair),
+    "random": ("random(n,density,seed)", (3,), _random_args, random_coloring),
+}
+
+
 def fixture_names() -> list[str]:
-    return [
-        "partition(n)",
-        "fig-critical-pair",
-        "fig-critical-cycle",
-        "fig-no-critical-pair[(n)]",
-        "fig-homsum",
-        "fig-two-cycles",
-        "alpha(n[,seed])",
-        "path-pair(m,c,phase)",
-        "cycle-pair(m,c,phase)",
-        "random(n,density,seed)",
-    ]
+    return [forms for forms, _, _, _ in _FIXTURES.values()]
 
 
 def parse_fixture(text: str) -> Fixture:
@@ -198,62 +228,13 @@ def parse_fixture(text: str) -> Fixture:
             raise FixtureError(f"malformed fixture id {text!r}")
         name, inner = text[:-1].split("(", 1)
         args = [a.strip() for a in inner.split(",")] if inner.strip() else []
-
-    def size(value: int) -> int:
-        # building a coloring sets bits on a growing int: superlinear in n
-        if value > MAX_N:
-            raise FixtureError(f"{name} takes a size of at most {MAX_N}, got {value}")
-        return value
-
-    def ints(count: int) -> list[int]:
-        if len(args) != count:
-            raise FixtureError(f"{name} expects {count} argument(s), got {len(args)}")
-        try:
-            values = [int(a) for a in args]
-        except ValueError as exc:
-            raise FixtureError(f"non-integer argument for {name}: {args}") from exc
-        return [size(values[0]), *values[1:]] if values else values
-
+    if name not in _FIXTURES:
+        raise FixtureError(f"unknown fixture {name!r}")
+    _, counts, parse, build = _FIXTURES[name]
     try:
-        if name == "partition":
-            return Fixture(text, partition_coloring(*ints(1)))
-        if name == "fig-critical-pair":
-            ints(0)
-            return Fixture(text, fig_critical_pair())
-        if name == "fig-critical-cycle":
-            ints(0)
-            phi, psi = fig_critical_cycle_pair()
-            return Fixture(text, phi, psi)
-        if name == "fig-no-critical-pair":
-            n = ints(1)[0] if args else 6
-            return Fixture(text, fig_no_critical_pair(n))
-        if name == "fig-homsum":
-            ints(0)
-            phi, psi = fig_homsum_pair()
-            return Fixture(text, phi, psi)
-        if name == "fig-two-cycles":
-            ints(0)
-            return Fixture(text, fig_two_cycles())
-        if name == "alpha":
-            if len(args) == 1:
-                return Fixture(text, alpha_coloring(ints(1)[0]))
-            n, seed = ints(2)
-            return Fixture(text, alpha_coloring(n, seed))
-        if name == "path-pair":
-            m, c, phase = ints(3)
-            phi, psi = make_path_pair(m, c, phase)
-            return Fixture(text, phi, psi)
-        if name == "cycle-pair":
-            m, c, phase = ints(3)
-            phi, psi = make_cycle_pair(m, c, phase)
-            return Fixture(text, phi, psi)
-        if name == "random":
-            if len(args) != 3:
-                raise FixtureError("random expects (n, density, seed)")
-            n = size(int(args[0]))
-            return Fixture(text, random_coloring(n, float(args[1]), int(args[2])))
+        built = build(*parse(name, counts, args))
     except FixtureError:
         raise
     except (ValueError, TypeError) as exc:
         raise FixtureError(f"invalid parameters for {name}: {exc}") from exc
-    raise FixtureError(f"unknown fixture {name!r}")
+    return Fixture(text, *built) if isinstance(built, tuple) else Fixture(text, built)

@@ -234,45 +234,38 @@ def check_parity_lemmas(phi: Coloring, psi: Coloring) -> ParityReport:
     return check_parity_paths(phi, _chordless_paths(diff), len(components(diff)))
 
 
+def _violation(nbr: tuple[int, ...], p: tuple[int, ...]) -> Optional[ParityViolation]:
+    """The first parity law that phi, given by its neighbour masks, breaks
+    along the path p, each law in turn, or None."""
+    k = len(p) - 1
+    even = k % 2 == 0
+    if (nbr[p[0]] >> p[1] & 1 != nbr[p[-2]] >> p[-1] & 1) != even:
+        return ParityViolation("endpoint-edges", p, "first/last edge parity law failed")
+    base = nbr[p[0]] >> p[2] & 1
+    if (base == nbr[p[0]] >> p[-1] & 1) != even:
+        return ParityViolation("anchored-distance", p, "x0-x2 vs x0-xn law failed")
+    for i in range(k - 2):
+        if (
+            nbr[p[i]] >> p[i + 2] & 1 != base
+            or nbr[p[i]] >> p[i + 3] & 1 == base
+            or nbr[p[i + 1]] >> p[i + 3] & 1 != base
+        ):
+            return ParityViolation("sliding-window", p, f"window i={i} failed")
+    return None
+
+
 def check_parity_paths(
     phi: Coloring, paths: Iterable[tuple[int, ...]], components_checked: int
 ) -> ParityReport:
     """The parity laws of :func:`check_parity_lemmas` on phi along the
     given paths of a difference set with ``components_checked``
     components; the paths are read up to the first violation."""
-    nbr = phi.nbr
     checked = 0
     for p in paths:
         checked += 1
-        k = len(p) - 1
-        even = k % 2 == 0
-        if (nbr[p[0]] >> p[1] & 1 != nbr[p[-2]] >> p[-1] & 1) != even:
-            return ParityReport(
-                False,
-                components_checked,
-                checked,
-                ParityViolation("endpoint-edges", p, "first/last edge parity law failed"),
-            )
-        base = nbr[p[0]] >> p[2] & 1
-        if (base == nbr[p[0]] >> p[-1] & 1) != even:
-            return ParityReport(
-                False,
-                components_checked,
-                checked,
-                ParityViolation("anchored-distance", p, "x0-x2 vs x0-xn law failed"),
-            )
-        for i in range(k - 2):
-            if (
-                nbr[p[i]] >> p[i + 2] & 1 != base
-                or nbr[p[i]] >> p[i + 3] & 1 == base
-                or nbr[p[i + 1]] >> p[i + 3] & 1 != base
-            ):
-                return ParityReport(
-                    False,
-                    components_checked,
-                    checked,
-                    ParityViolation("sliding-window", p, f"window i={i} failed"),
-                )
+        violation = _violation(phi.nbr, p)
+        if violation is not None:
+            return ParityReport(False, components_checked, checked, violation)
     return ParityReport(True, components_checked, checked, None)
 
 

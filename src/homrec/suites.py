@@ -12,7 +12,9 @@ two validity routes.  The others read the pair-class search of
 D under many colorings, so they group the search's cases by D over
 batches of colorings and check D against all of its owners in a batch at
 once: each check on the coloring is one expression over the batch's pair
-columns, one bit per coloring.  What depends on D alone (its paths,
+columns, one bit per coloring.  Parity's batch only decides which cases
+break a law; the scalar ``check_parity_paths`` names the law each
+reported case breaks first.  What depends on D alone (its paths,
 components and shape) is worked out once per D and run.  r-sweep reads
 which colorings have a critical pair from one ``critical_rows`` call on
 the columns of its whole sweep, a route independent of the search it
@@ -78,6 +80,7 @@ from .structure import (
     ComponentKind,
     _chordless_paths,
     check_parity_lemmas,
+    check_parity_paths,
     components,
     hom_partition,
     make_cycle_pair,
@@ -126,6 +129,11 @@ def _sample_masks(n: int, count: int, seed: int) -> list[int]:
     rng = random.Random(seed * 1_000_003 + n)
     p = pair_count(n)
     return [rng.getrandbits(p) for _ in range(count)]
+
+
+def _note(failures: list[str], message: str) -> None:
+    if len(failures) < _MAX_FAILURES:
+        failures.append(message)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +326,6 @@ class _FirstCases:
 # ---------------------------------------------------------------------------
 # parity
 
-_LAWS = ("endpoint-edges", "anchored-distance", "sliding-window")
-
 
 def _path_terms(p: tuple[int, ...]) -> tuple:
     """The pair indices the parity laws read along the path p with k
@@ -337,38 +343,27 @@ def _path_terms(p: tuple[int, ...]) -> tuple:
     return -(k % 2), ix(p[0], p[1]), ix(p[-2], p[-1]), ix(p[0], p[2]), ix(p[0], p[-1]), windows
 
 
-def _parity_violations(columns, paths) -> tuple[int, int, int]:
-    """Batch form of ``structure.check_parity_paths``: per law of
-    ``_LAWS``, the entries whose first violation along ``paths`` (each
-    given by its ``_path_terms``, in order, each law in turn) breaks that
-    law."""
-    first = [0, 0, 0]
+def _parity_violations(columns, paths) -> int:
+    """Batch form of ``structure.check_parity_paths``: the entries for
+    which some parity law fails along some of ``paths`` (each given by its
+    ``_path_terms``).  It only decides; the scalar check names the law."""
     broken = 0
     for odd, head, tail, near, far, windows in paths:
         base = columns[near]
-        window = 0
+        # the end edges differ iff k is even; phi{x0,x2} = phi{x0,xk} iff k is even
+        broken |= ~(columns[head] ^ columns[tail] ^ odd) | (base ^ columns[far] ^ odd)
         for i, j, m in windows:
-            window |= (columns[i] ^ base) | ~(columns[j] ^ base) | (columns[m] ^ base)
-        laws = (
-            # the end edges differ iff k is even
-            ~(columns[head] ^ columns[tail] ^ odd),
-            # phi{x0,x2} = phi{x0,xk} iff k is even
-            base ^ columns[far] ^ odd,
-            window,
-        )
-        for i, fails in enumerate(laws):
-            fails &= ~broken
-            first[i] |= fails
-            broken |= fails
-    return first[0], first[1], first[2]
+            broken |= (columns[i] ^ base) | ~(columns[j] ^ base) | (columns[m] ^ base)
+    return broken
 
 
 def _parity_outcomes(n: int, phis):
     """The batch route of the parity suite.  Per batch of ``phis`` and per
     D that an entry owns: the batch's first index and colorings, D, its
     owner mask, the entries phi for which phi ^ D is not H-equivalent to
-    phi, and per law of ``_LAWS`` the entries that break it first.  Every
-    entry of a batch is checked; the suite reads the owners."""
+    phi, and the entries for which some parity law fails along D; the
+    scalar check names the law.  Every entry of a batch is checked; the
+    suite reads the owners."""
     terms = cache(_path_terms)  # one per path, shared by the D that have it
     paths_of: dict[int, tuple[tuple, ...]] = {}  # per D, its paths' terms
     for lo, chunk, columns, owners in _owner_batches(n, phis):
@@ -383,31 +378,36 @@ def _parity_outcomes(n: int, phis):
                 moved |= a ^ b
             if d not in paths_of:
                 paths_of[d] = tuple(map(terms, _chordless_paths(EdgeSet(n, d))))
-            laws = _parity_violations(columns, paths_of[d])
-            yield lo, chunk, d, owners[d], moved, laws
+            yield lo, chunk, d, owners[d], moved, _parity_violations(columns, paths_of[d])
 
 
 def suite_parity(n: int = 5, max_m: int = 12) -> SuiteResult:
     scale = {"n": n, "max_m": max_m}
     cases = 0
+    phis = range(1 << pair_count(n))
     first, invalid = _FirstCases(n), _FirstCases(n)
-    for lo, chunk, d, own, moved, laws in _parity_outcomes(n, range(1 << pair_count(n))):
+    for lo, chunk, d, own, moved, broken in _parity_outcomes(n, phis):
         cases += own.bit_count()
         invalid.add(lo, chunk, d, 0, own & moved, ": the search returned invalid D")
-        for lemma, broken in zip(_LAWS, laws):
-            first.add(lo, chunk, d, 0, own & broken, f" lemma={lemma}")
+        first.add(lo, chunk, d, 0, own & broken, "")
     if invalid.found:
         raise ConsistencyError(invalid.messages()[0])
 
-    failures = first.messages()
+    failures: list[str] = []
+    for (i, d, _), message in first.found:
+        diff = EdgeSet(n, d)
+        paths, count = _chordless_paths(diff), len(components(diff))
+        report = check_parity_paths(Coloring(n, phis[i]), paths, count)
+        if report.ok:
+            raise ConsistencyError(f"{message}: the batch flags a parity law that holds")
+        failures.append(f"{message} lemma={report.violation.lemma}")
     for m in range(6, max_m + 1, 2):
         for make in (make_path_pair, make_cycle_pair):
             for c in (0, 1):
                 for phase in (0, 1):
                     cases += 1
-                    report = check_parity_lemmas(*make(m, c, phase))
-                    if not report.ok and len(failures) < _MAX_FAILURES:
-                        failures.append(f"{make.__name__}({m},{c},{phase})")
+                    if not check_parity_lemmas(*make(m, c, phase)).ok:
+                        _note(failures, f"{make.__name__}({m},{c},{phase})")
 
     return SuiteResult("parity", not failures, cases, scale, {}, failures)
 
@@ -478,28 +478,24 @@ def suite_r_sweep(
             cases += 1
             if not nontrivial:
                 distribution["in_R"] = distribution.get("in_R", 0) + 1
-                if has_pair and len(failures) < _MAX_FAILURES:
-                    failures.append(f"n={n} phi={phi_bits:#x}: critical pair but in R")
+                if has_pair:
+                    _note(failures, f"n={n} phi={phi_bits:#x}: critical pair but in R")
                 continue
             r = nontrivial[0].bit_count()
             key = f"r={r}"
             distribution[key] = distribution.get(key, 0) + 1
-            if r == 2 and len(failures) < _MAX_FAILURES:
-                failures.append(f"n={n} phi={phi_bits:#x}: r = 2")
-            if (r == 1) != has_pair and len(failures) < _MAX_FAILURES:
-                failures.append(
-                    f"n={n} phi={phi_bits:#x}: r={r} but critical pair {has_pair}"
-                )
+            if r == 2:
+                _note(failures, f"n={n} phi={phi_bits:#x}: r = 2")
+            if (r == 1) != has_pair:
+                _note(failures, f"n={n} phi={phi_bits:#x}: r={r} but critical pair {has_pair}")
             # the minimal witnesses lead the search's size-then-colex order
             for d in nontrivial:
                 if d.bit_count() != r:
                     break
                 if d not in connected:
                     connected[d] = len(components(EdgeSet(n, d))) == 1
-                if not connected[d] and len(failures) < _MAX_FAILURES:
-                    failures.append(
-                        f"n={n} phi={phi_bits:#x} minimal witness {d:#x} disconnected"
-                    )
+                if not connected[d]:
+                    _note(failures, f"n={n} phi={phi_bits:#x} minimal witness {d:#x} disconnected")
 
     sweep(n_exhaustive, range(1 << pair_count(n_exhaustive)))
     sweep(n_sampled, _sample_masks(n_sampled, samples, seed))
@@ -619,11 +615,6 @@ def _difference_facts(n: int, d: int) -> tuple:
         part = diff.within(verts)
         parts.append((part.mask, verts, tuple(part.members())))
     return uniform, shape, tuple(parts)
-
-
-def _note(failures: list[str], message: str) -> None:
-    if len(failures) < _MAX_FAILURES:
-        failures.append(message)
 
 
 # ---------------------------------------------------------------------------

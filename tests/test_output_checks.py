@@ -4,8 +4,11 @@ The benchmark counts an operation as failed when ``perfbench/checks.py``
 finds a problem with its output, so a report change that those checks
 reject would surface only as a failed-operation rate there.  This runs
 the same checks on reports of small colorings, labelled exhaustive, and
-on structural fixtures."""
+on structural fixtures.  The benchmark's tracer wraps package functions
+by name, so every name it lists must still resolve."""
 
+import ast
+import importlib
 import importlib.util
 import json
 import random
@@ -13,13 +16,13 @@ from pathlib import Path
 
 import pytest
 
+from homrec import cli, suites
 from homrec.cli import main
 from homrec.coloring import Coloring, pair_count
 from homrec.fixtures import parse_fixture
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_checks", Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
-)
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+_spec = importlib.util.spec_from_file_location("perfbench_checks", _PERFBENCH / "checks.py")
 checks = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(checks)
 
@@ -57,3 +60,20 @@ def test_exhaustive_reports_pass_the_checks(phis, tmp_path, capsys):
 def test_structural_reports_pass_the_checks(fixture, tmp_path, capsys):
     phi = parse_fixture(fixture).phi
     assert _problems(phi, "structural", tmp_path, capsys) == []
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    # the tracer looks each (module, function) up with no default, so a
+    # name gone from the package breaks every traced run
+    tree = ast.parse((_PERFBENCH / "tracing.py").read_text())
+    listed = {
+        node.targets[0].id if isinstance(node, ast.Assign) else node.target.id: node.value
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+    }
+    targets = ast.literal_eval(listed["_TARGETS"])
+    assert targets
+    for module, function in targets:
+        assert callable(getattr(importlib.import_module(f"homrec.{module}"), function))
+    assert set(ast.literal_eval(listed["SUITE_NAMES"])) == set(suites.SUITES)
+    assert set(cli._SUITE_FLAGS) == set(suites.SUITES)

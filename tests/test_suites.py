@@ -22,6 +22,8 @@ from homrec.critical import find_critical_pairs
 from homrec.errors import ConsistencyError
 from homrec.reconstruct import _reconstruction_masks, is_valid_difference
 from homrec.structure import (
+    ParityReport,
+    ParityViolation,
     _chordless_paths,
     check_parity_lemmas,
     check_parity_paths,
@@ -404,26 +406,57 @@ def _owners(d: int) -> list[int]:
     return [phi for phi, valid in _valid_masks_by_phi(5, range(1 << pair_count(5))) if d in valid]
 
 
-def test_parity_names_only_the_coloring_whose_law_fails(monkeypatch):
-    # D = {01, 04} is a path of every one of its 32 colorings; the batch
-    # route breaks the law for the second of them only
-    phi_bits, d = 0x2B, 0x41
-    owners = _owners(d)
-    assert len(owners) == 32 and owners[0] < phi_bits < owners[-1]
-    paths = tuple(map(suites._path_terms, _chordless_paths(EdgeSet(5, d))))
+def _scalar_breaks(monkeypatch, lemma: str, hit) -> None:
+    """Patch the suite's scalar parity check to report ``lemma`` broken
+    wherever ``hit(phi_bits, paths)`` holds."""
+    original = suites.check_parity_paths
+
+    def patched(phi, paths, count):
+        paths = tuple(paths)
+        if hit(phi.bits, paths):
+            return ParityReport(False, count, 1, ParityViolation(lemma, paths[0], "patched"))
+        return original(phi, paths, count)
+
+    monkeypatch.setattr(suites, "check_parity_paths", patched)
+
+
+def _flag_one_case(monkeypatch, phi_bits: int, d: int) -> tuple:
+    """Make the batch route flag (phi, D) alone; return D's paths."""
+    paths = tuple(_chordless_paths(EdgeSet(5, d)))
+    terms = tuple(map(suites._path_terms, paths))
     original = suites._parity_violations
 
     def patched(columns, given):
-        first = original(columns, given)
-        if given != paths:
-            return first
-        hit = _entries(columns, phi_bits)
-        return first[0] | hit, first[1] & ~hit, first[2] & ~hit
+        broken = original(columns, given)
+        return broken | _entries(columns, phi_bits) if given == terms else broken
 
     monkeypatch.setattr(suites, "_parity_violations", patched)
+    return paths
+
+
+def test_parity_names_only_the_coloring_whose_law_fails(monkeypatch):
+    # D = {01, 04} is a path of every one of its 32 colorings; the batch
+    # route flags, and the scalar check breaks a law for, the second of
+    # them only
+    phi_bits, d = 0x2B, 0x41
+    owners = _owners(d)
+    assert len(owners) == 32 and owners[0] < phi_bits < owners[-1]
+    paths = _flag_one_case(monkeypatch, phi_bits, d)
+    _scalar_breaks(
+        monkeypatch, "endpoint-edges", lambda bits, given: (bits, given) == (phi_bits, paths)
+    )
     result = run_suite("parity", max_m=6)
     assert not result.ok
     assert result.failures == [f"n=5 phi={phi_bits:#x} D={d:#x} lemma=endpoint-edges"]
+
+
+def test_parity_raises_on_a_flag_the_scalar_check_does_not_confirm(monkeypatch):
+    # every law holds for each owner of D = {01, 04}; the batch flags one
+    phi_bits, d = 0x2B, 0x41
+    _flag_one_case(monkeypatch, phi_bits, d)
+    message = rf"^n=5 phi={phi_bits:#x} D={d:#x}: the batch flags a parity law that holds$"
+    with pytest.raises(ConsistencyError, match=message):
+        run_suite("parity", max_m=6)
 
 
 def test_connectivity_names_only_the_coloring_whose_restriction_fails(monkeypatch):
@@ -453,19 +486,21 @@ def test_connectivity_names_only_the_coloring_whose_restriction_fails(monkeypatc
 
 @pytest.mark.parametrize("batch", [suites._BATCH, 3])
 def test_parity_reports_the_first_failing_cases_in_scan_order(batch, monkeypatch):
-    # the batch route breaks a law wherever phi colors pair 3 with 1 and D
-    # has a single path (in its two directions); the first five such cases
-    # span three colorings, and with three colorings per batch, batches
+    # the batch route flags, and the scalar check breaks a law for, every
+    # case where phi colors pair 3 with 1 and D has a single path (in its
+    # two directions); the first five such cases span three colorings, and
+    # with three colorings per batch, batches
     original = suites._parity_violations
 
     def patched(columns, given):
-        first = original(columns, given)
-        if len(given) != 2:
-            return first
-        return first[0] & ~columns[3], first[1] | columns[3], first[2] & ~columns[3]
+        broken = original(columns, given)
+        return broken | columns[3] if len(given) == 2 else broken
 
     monkeypatch.setattr(suites, "_BATCH", batch)
     monkeypatch.setattr(suites, "_parity_violations", patched)
+    _scalar_breaks(
+        monkeypatch, "anchored-distance", lambda bits, paths: bits >> 3 & 1 and len(paths) == 2
+    )
     expected = [
         f"n=5 phi={phi:#x} D={d:#x} lemma=anchored-distance"
         for phi, valid in _valid_masks_by_phi(5, range(1 << pair_count(5)))
@@ -558,8 +593,8 @@ def _checked(n: int, chunk, d: int, own: int) -> list[int]:
 @AGREEMENT
 def test_parity_batch_route_matches_the_scalar_checks(n, phis, monkeypatch):
     monkeypatch.setattr(suites, "_BATCH", 300)  # several batches at n = 5
-    owned, seen = set(), set()
-    for lo, chunk, d, own, moved, laws in suites._parity_outcomes(n, phis):
+    owned, lemmas = set(), set()
+    for lo, chunk, d, own, moved, broken in suites._parity_outcomes(n, phis):
         owned.update((lo + j, d) for j in range(len(chunk)) if own >> j & 1)
         diff = EdgeSet(n, d)
         paths, count = tuple(_chordless_paths(diff)), len(components(diff))
@@ -568,12 +603,12 @@ def test_parity_batch_route_matches_the_scalar_checks(n, phis, monkeypatch):
             equivalent = h_equivalent(phi, Coloring(n, chunk[j] ^ d))
             assert (moved >> j & 1) == (not equivalent)
             report = check_parity_paths(phi, paths, count)
-            broken = [lemma for lemma, law in zip(suites._LAWS, laws) if law >> j & 1]
-            assert broken == ([] if report.ok else [report.violation.lemma])
-            seen.update(broken)
+            assert (broken >> j & 1) == (not report.ok)
+            if not report.ok:
+                lemmas.add(report.violation.lemma)
     assert owned == _cases(n, phis)
     if n == 5:
-        assert seen == set(suites._LAWS)
+        assert lemmas == {"endpoint-edges", "anchored-distance", "sliding-window"}
 
 
 @AGREEMENT
